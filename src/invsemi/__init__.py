@@ -58,6 +58,7 @@ from .semigroup import (
     EggBox,
     GreenOracle,
     SemigroupEnum,
+    d_middle_witness,
     d_related,
     eggbox,
     eggbox_dot,

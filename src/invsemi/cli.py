@@ -38,11 +38,10 @@ from .semigroup import (
     eggbox_text,
     enumerate_family,
     green_related,
+    d_middle_witness,
     j_below_witness,
     l_below_witness,
-    l_related,
     r_below_witness,
-    r_related,
 )
 from .verify import VerifyConfig, exit_code_for, render_report_json, render_report_text, run_verify
 
@@ -158,14 +157,7 @@ def cmd_green(args) -> int:
             w["j_f_below_g"] = [str(a[0]), str(a[1])] if a else None
             w["j_g_below_f"] = [str(b[0]), str(b[1])] if b else None
         if rel == "D":
-            middle = next(
-                (
-                    m
-                    for m in enumerate_family(ctx).elements
-                    if l_related(ctx, f, m) and r_related(ctx, m, g)
-                ),
-                None,
-            )
+            middle = d_middle_witness(ctx, f, g)
             w["d_middle"] = str(middle) if middle else None
         doc["witnesses"] = w
     if args.format == "json":

@@ -9,7 +9,8 @@ countably many further fibers of size 1", which is how profiles over an
 infinite subset are written down at desk scale: only the interesting fiber
 sizes are listed and the tail of singletons is kept symbolic.
 
-Two comparisons on profiles drive everything downstream:
+Two comparisons on profiles drive the symbolic calculus (over a finite Y
+every member's profile is all ones, so the finite predicates skip them):
 
   d_condition(p, q)   is there a size-preserving bijection of index sets?
   j_condition(p, q)   can q's fibers be packed into p's capacities, blockwise?

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .core import Context, Transformation, classify, compose, image_deficit
 from .errors import DomainError
 from .extnat import ExtNat, as_extnat, n_value, profile_of
-from .semigroup import enumerate_family, j_below_holds, j_related
+from .semigroup import enumerate_family, j_below_holds
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,18 +74,15 @@ def is_ideal(ctx: Context, subset, budget: int | None = None) -> bool:
 
 
 def j_classes(ctx: Context, budget: int | None = None) -> tuple[tuple[Transformation, ...], ...]:
-    """Partition of the family under mutual two-sided divisibility."""
-    reps: list[Transformation] = []
-    classes: list[list[Transformation]] = []
+    """Partition of the family under mutual two-sided divisibility.
+
+    Over a finite Y that is equality of image deficits; classes come in order
+    of their first member.
+    """
+    classes: dict[int, list[Transformation]] = {}
     for f in enumerate_family(ctx, "omegabar", budget).elements:
-        for i, rep in enumerate(reps):
-            if j_related(ctx, f, rep):
-                classes[i].append(f)
-                break
-        else:
-            reps.append(f)
-            classes.append([f])
-    return tuple(tuple(c) for c in classes)
+        classes.setdefault(image_deficit(ctx, f), []).append(f)
+    return tuple(tuple(c) for c in classes.values())
 
 
 def ideals_all(ctx: Context, budget: int | None = None) -> tuple[IdealSet, ...]:

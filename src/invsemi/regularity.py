@@ -1,21 +1,22 @@
-"""Regular and unit-regular elements, with brute-force cross-checks built in.
+"""Regular and unit-regular elements: structural tests and brute-force oracles.
 
 An element f is regular when f g f = f for some g in the same family, and
 unit-regular when the middle factor can be chosen invertible.  Both notions
 admit short structural tests here: regularity within the Y-onto-Y family is
 exactly bijectivity on Y (automatic over a finite Y), and unit-regularity is
-witnessed by a transversal of ker(f) that contains Y and misses exactly as
-many points as the image does.  The report type carries both the structural
-verdicts and the searched witnesses, and refuses to disagree with itself.
+witnessed by a transversal of ker(f) that contains Y.  The report's
+witnesses are built from that transversal, not searched for; the searches
+(pre_inverses, is_regular_oracle) stay separate so the verify battery can
+compare the two.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Context, Transformation, classify, compose, transversals
+from .core import Context, Transformation, classify, compose
 from .errors import DomainError
-from .semigroup import SemigroupEnum, enumerate_family, units
+from .semigroup import SemigroupEnum, enumerate_family
 
 
 @dataclass(frozen=True, slots=True)
@@ -79,47 +80,49 @@ def is_regular_oracle(ctx: Context, f: Transformation, budget: int | None = None
     return False
 
 
-def is_unit_regular(ctx: Context, f: Transformation, budget: int | None = None) -> RegularityReport:
-    """Full report: structural transversal test against unit search, combined.
+def is_unit_regular(ctx: Context, f: Transformation) -> RegularityReport:
+    """Full report with every witness built from the least transversal of
+    ker(f) containing Y (each fiber's Y-point, else its least point).
 
-    The structural side looks for a transversal of ker(f) containing Y whose
-    complement has the size of the image's complement; the search side scans
-    the unit group for u with f u f = f.  The two verdicts are asserted equal
-    before anything is returned.
+    The least pre-inverse sends v in Xf to the transversal point over v, and
+    the rest to 0.  The least unit u with f u f = f is built point by point:
+    each v in Xf takes the least unused point over it, Y-points first; any
+    other point takes the least unused point outside Y that is not the last
+    unused one over a later point of Xf.
     """
     flags = classify(ctx, f)
     if not flags.in_omegabar:
         raise DomainError(f"{f} does not carry Y onto Y in context {ctx}")
+    yset = ctx.y_frozen
+    fibers: dict[int, list[int]] = {}
+    for x, v in enumerate(f.images):
+        fibers.setdefault(v, []).append(x)  # ascending x, so lists are sorted
+    pick = {v: next((x for x in xs if x in yset), xs[0]) for v, xs in fibers.items()}
+    pre = Transformation(tuple(pick.get(v, 0) for v in range(ctx.n)))
 
-    deficit_total = ctx.n - len(f.image())  # |X \ Xf|
-    certificate = None
-    for t in transversals(f, require_superset=ctx.y_frozen):
-        if ctx.n - len(t) == deficit_total:
-            certificate = t
-            break
-
-    unit_witness = None
-    for u in units(ctx):
-        if compose(f, compose(u, f)).images == f.images:
-            unit_witness = u
-            break
-
-    assert (certificate is None) == (unit_witness is None), (
-        "structural transversal test and unit search disagree"
-    )
-
-    pre = None
-    for g in enumerate_family(ctx, "omegabar", budget).elements:
-        if compose(f, compose(g, f)).images == f.images:
-            pre = g
-            break
-
+    unit = []
+    used = set(yset)  # only the points of Y map into Y
+    unmatched = {v: len(xs) for v, xs in fibers.items() if v not in yset}  # unused points over v
+    for v in range(ctx.n):
+        if v in yset:
+            z = pick[v]
+        elif v in unmatched:
+            del unmatched[v]
+            z = next(x for x in fibers[v] if x not in used)
+        else:
+            z = next(x for x in range(ctx.n) if x not in used and unmatched.get(f.images[x]) != 1)
+        used.add(z)
+        if f.images[z] in unmatched:
+            unmatched[f.images[z]] -= 1
+        unit.append(z)
+    u = Transformation(tuple(unit))
+    assert compose(f, compose(u, f)).images == f.images == compose(f, compose(pre, f)).images
     return RegularityReport(
         is_regular=flags.in_sbar,
-        is_unit_regular=unit_witness is not None,
+        is_unit_regular=True,
         witness_pre_inverse=pre,
-        witness_unit=unit_witness,
-        certifying_transversal=certificate,
+        witness_unit=u,
+        certifying_transversal=frozenset(pick.values()),
     )
 
 

@@ -1,11 +1,13 @@
 """Enumeration and Green's structure of the families over a fixed (X, Y).
 
 Every relation here comes in two independent flavors.  The characterization
-predicates (l_related and friends) decide membership from images, kernels
-and fiber profiles alone, in time polynomial in n.  The GreenOracle decides
-the same questions straight from the definitions, by exhaustive divisibility
-search over the enumerated semigroup.  They are kept separate on purpose:
-tests compare them and neither side is allowed to peek at the other.
+predicates (l_related and friends) and the witness builders work from images,
+kernels and image deficits alone, in time polynomial in n: over a finite Y
+every member is a bijection on Y, so D, J and two-sided divisibility come down
+to comparing image deficits.  The GreenOracle decides the same questions
+straight from the definitions, by exhaustive divisibility search over the
+enumerated semigroup.  They are kept separate on purpose: tests compare them
+and neither side is allowed to peek at the other.
 """
 
 from __future__ import annotations
@@ -23,9 +25,9 @@ from .core import (
     image_deficit,
     kernel_partition,
     partitions_equal,
+    refines,
 )
 from .errors import BudgetError, DomainError
-from .extnat import d_condition, j_condition, profile_of
 
 FAMILIES = ("tbar", "omegabar", "sbar", "fix")
 RELATIONS = ("L", "R", "H", "D", "J")
@@ -115,18 +117,14 @@ def _require_member(ctx: Context, f: Transformation) -> None:
         raise DomainError(f"{f} does not carry Y onto Y in context {ctx}")
 
 
-def _fibers_over_y(ctx: Context, f: Transformation) -> tuple[frozenset[int], ...]:
-    return kernel_partition(f).fibers_over(ctx.y_frozen)
-
-
 # --- characterization predicates --------------------------------------------
 
 
 def l_related(ctx: Context, f: Transformation, g: Transformation) -> bool:
-    """Same image set and, point by point over Y, same fiber size on Y."""
+    """Same image set."""
     _require_member(ctx, f)
     _require_member(ctx, g)
-    return f.image() == g.image() and profile_of(ctx, f).sizes == profile_of(ctx, g).sizes
+    return f.image() == g.image()
 
 
 def r_related(ctx: Context, f: Transformation, g: Transformation) -> bool:
@@ -144,22 +142,15 @@ def h_related(ctx: Context, f: Transformation, g: Transformation) -> bool:
 
 
 def d_related(ctx: Context, f: Transformation, g: Transformation) -> bool:
-    """Equal image deficit and a size-preserving bijection of fiber indices."""
+    """Equal image deficit."""
     _require_member(ctx, f)
     _require_member(ctx, g)
-    if image_deficit(ctx, f) != image_deficit(ctx, g):
-        return False
-    return d_condition(profile_of(ctx, f), profile_of(ctx, g)) is not None
+    return image_deficit(ctx, f) == image_deficit(ctx, g)
 
 
 def j_related(ctx: Context, f: Transformation, g: Transformation) -> bool:
-    """Equal image deficit and fiber profiles packing into each other."""
-    _require_member(ctx, f)
-    _require_member(ctx, g)
-    if image_deficit(ctx, f) != image_deficit(ctx, g):
-        return False
-    pf, pg = profile_of(ctx, f), profile_of(ctx, g)
-    return j_condition(pf, pg) is not None and j_condition(pg, pf) is not None
+    """Over a finite Y, J is D: equal image deficit."""
+    return d_related(ctx, f, g)
 
 
 _RELATED = {"L": l_related, "R": r_related, "H": h_related, "D": d_related, "J": j_related}
@@ -171,21 +162,17 @@ def green_related(ctx: Context, rel: str, f: Transformation, g: Transformation) 
     return _RELATED[rel](ctx, f, g)
 
 
-# --- one-sided divisibility witnesses ----------------------------------------
+# --- divisibility witnesses ---------------------------------------------------
 
 
 def l_below_witness(ctx: Context, f: Transformation, g: Transformation) -> Transformation | None:
     """Lexicographically least h in the family with (h then g) = f, or None.
 
-    Exists iff Xf is inside Xg and every fiber of f over Y is at least as
-    large as g's fiber over the same point.
+    Exists iff Xf is inside Xg.
     """
     _require_member(ctx, f)
     _require_member(ctx, g)
     if not f.image() <= g.image():
-        return None
-    pf, pg = profile_of(ctx, f), profile_of(ctx, g)
-    if not all(a >= b for a, b in zip(pf.sizes, pg.sizes)):
         return None
     yset = ctx.y_frozen
     fiber_g: dict[int, list[int]] = {}
@@ -215,9 +202,9 @@ def r_below_witness(ctx: Context, f: Transformation, g: Transformation) -> Trans
     _require_member(ctx, g)
     pf, pg = kernel_partition(f), kernel_partition(g)
     yset = ctx.y_frozen
-    if not refines_blocks(pg.blocks, pf.blocks):
+    if not refines(pg.blocks, pf.blocks):
         return None
-    if not refines_blocks(pg.fibers_over(yset), pf.fibers_over(yset)):
+    if not refines(pg.fibers_over(yset), pf.fibers_over(yset)):
         return None
     imgs = [0] * ctx.n  # points outside Xg are free; 0 is the least choice
     for block, v in zip(pg.blocks, pg.block_images):
@@ -228,17 +215,11 @@ def r_below_witness(ctx: Context, f: Transformation, g: Transformation) -> Trans
     return h
 
 
-def refines_blocks(finer, coarser) -> bool:
-    return all(any(a <= b for b in coarser) for a in finer)
-
-
 def j_below_holds(ctx: Context, f: Transformation, g: Transformation) -> bool:
     """Two-sided divisibility test alone, no witness construction."""
     _require_member(ctx, f)
     _require_member(ctx, g)
-    if image_deficit(ctx, f) > image_deficit(ctx, g):
-        return False
-    return j_condition(profile_of(ctx, f), profile_of(ctx, g)) is not None
+    return image_deficit(ctx, f) <= image_deficit(ctx, g)
 
 
 def j_below_witness(
@@ -246,10 +227,10 @@ def j_below_witness(
 ) -> tuple[Transformation, Transformation] | None:
     """A deterministic pair (h, h2) with (h then g then h2) = f, or None.
 
-    Exists iff f's image deficit is at most g's and g's fiber profile packs
-    into f's fiber capacities.  Equal arguments short-circuit to the identity
-    pair.  The construction picks least preimages throughout, so equal inputs
-    give equal witnesses, but the pair as a whole is not the lex-least one.
+    Exists iff f's image deficit is at most g's.  Equal arguments
+    short-circuit to the identity pair.  The construction picks least
+    preimages throughout, so equal inputs give equal witnesses, but the pair
+    as a whole is not the lex-least one.
     """
     _require_member(ctx, f)
     _require_member(ctx, g)
@@ -294,6 +275,32 @@ def j_below_witness(
     assert compose(h, compose(g, h2)).images == f.images, "witness failed recomposition"
     assert classify(ctx, h).in_omegabar and classify(ctx, h2).in_omegabar
     return h, h2
+
+
+def d_middle_witness(ctx: Context, f: Transformation, g: Transformation) -> Transformation | None:
+    """Lexicographically least m in the family with f L m and m R g, or None.
+
+    Exists iff f and g have equal image deficits.  Such an m is constant on
+    g's fibers, sends the fibers over Y onto Y and the others onto Xf minus Y;
+    taking the fibers in order of least element and giving each the least
+    unused point of its kind yields the least m.
+    """
+    _require_member(ctx, f)
+    _require_member(ctx, g)
+    if image_deficit(ctx, f) != image_deficit(ctx, g):
+        return None
+    yset = ctx.y_frozen
+    on_y = iter(ctx.y_set)
+    off_y = iter(sorted(f.image() - yset))
+    imgs = [0] * ctx.n
+    part = kernel_partition(g)
+    for block, v in zip(part.blocks, part.block_images):
+        point = next(on_y if v in yset else off_y)
+        for x in block:
+            imgs[x] = point
+    m = Transformation(tuple(imgs))
+    assert l_related(ctx, f, m) and r_related(ctx, m, g), "middle failed its relations"
+    return m
 
 
 # --- definitional oracle ------------------------------------------------------
@@ -356,14 +363,17 @@ class GreenOracle:
     def h_related(self, f: Transformation, g: Transformation) -> bool:
         return self.l_related(f, g) and self.r_related(f, g)
 
-    def d_related(self, f: Transformation, g: Transformation) -> bool:
-        # middle element w with f L w and w R g
+    def d_middle(self, f: Transformation, g: Transformation) -> Transformation | None:
+        """The first member w with f L w and w R g, or None."""
         left, right = self._products()
         fi, gi = self._id(f), self._id(g)
         for w in range(len(self.elements)):
             if fi in left[w] and w in left[fi] and w in right[gi] and gi in right[w]:
-                return True
-        return False
+                return self.elements[w]
+        return None
+
+    def d_related(self, f: Transformation, g: Transformation) -> bool:
+        return self.d_middle(f, g) is not None
 
     def j_related(self, f: Transformation, g: Transformation) -> bool:
         return self.j_below(f, g) and self.j_below(g, f)
@@ -413,11 +423,6 @@ def eggbox(ctx: Context, budget: int | None = None) -> EggBox:
     elems = enumerate_family(ctx, "omegabar", budget).elements
     yset = ctx.y_frozen
 
-    def d_key(f: Transformation):
-        prof = profile_of(ctx, f)
-        multiset = tuple(sorted((s.value for s in prof.sizes), key=lambda v: (v is None, v)))
-        return image_deficit(ctx, f), multiset
-
     def r_key(f: Transformation):
         part = kernel_partition(f)
         blocks = tuple(tuple(sorted(b)) for b in part.blocks)
@@ -425,15 +430,15 @@ def eggbox(ctx: Context, budget: int | None = None) -> EggBox:
         return blocks, over_y
 
     def l_key(f: Transformation):
-        return tuple(sorted(f.image())), profile_of(ctx, f).sizes
+        return tuple(sorted(f.image()))
 
-    by_d: dict[tuple, list[Transformation]] = {}
+    by_d: dict[int, list[Transformation]] = {}
     for f in elems:
-        by_d.setdefault(d_key(f), []).append(f)
+        by_d.setdefault(image_deficit(ctx, f), []).append(f)
 
     grids: list[DClassGrid] = []
-    for key in sorted(by_d, key=lambda k: (-k[0], k[1])):
-        members = by_d[key]
+    for deficit in sorted(by_d, reverse=True):
+        members = by_d[deficit]
         rows: dict[tuple, list[Transformation]] = {}
         cols: dict[tuple, list[Transformation]] = {}
         for f in members:
@@ -450,12 +455,12 @@ def eggbox(ctx: Context, budget: int | None = None) -> EggBox:
                 idem = any(compose(e, e).images == e.images for e in cell)
                 row_cells.append(HCell(elements=cell, has_idempotent=idem))
             cells.append(tuple(row_cells))
-        grids.append(DClassGrid(deficit=key[0], cells=tuple(cells)))
+        grids.append(DClassGrid(deficit=deficit, cells=tuple(cells)))
 
     reps = [grid.cells[0][0].elements[0] for grid in grids]
     pairs = []
     for i, j in itertools.permutations(range(len(grids)), 2):
-        if j_below_witness(ctx, reps[i], reps[j]) is not None:
+        if j_below_holds(ctx, reps[i], reps[j]):
             pairs.append((i, j))
     return EggBox(ctx=ctx, d_classes=tuple(grids), j_below_pairs=tuple(pairs))
 

@@ -58,6 +58,7 @@ from .ideals import ideals_all, is_ideal, j_of_f, j_st, kernel
 from .regularity import is_regular, is_regular_oracle, is_unit_regular, pre_inverses
 from .semigroup import (
     GreenOracle,
+    d_middle_witness,
     enumerate_family,
     eggbox,
     green_related,
@@ -112,6 +113,7 @@ class _CtxData:
     def __init__(self, ctx: Context):
         self.ctx = ctx
         self._enums: dict[str, tuple[Transformation, ...]] = {}
+        self._units: tuple[Transformation, ...] | None = None
         self._oracle: GreenOracle | None = None
         self._ideals = None
         self._eggbox = None
@@ -120,6 +122,11 @@ class _CtxData:
         if family not in self._enums:
             self._enums[family] = enumerate_family(self.ctx, family).elements
         return self._enums[family]
+
+    def units(self) -> tuple[Transformation, ...]:
+        if self._units is None:
+            self._units = units(self.ctx)
+        return self._units
 
     def oracle(self) -> GreenOracle:
         if self._oracle is None:
@@ -143,17 +150,12 @@ def _ex(data: _CtxData, **kv) -> dict:
     return out
 
 
-def _sample_pairs(rng: random.Random, elems, count: int):
-    m = len(elems)
-    for _ in range(count):
-        yield elems[rng.randrange(m)], elems[rng.randrange(m)]
-
-
-def _pair_iter(data: _CtxData, rng: random.Random, exhaustive_up_to: int, count: int):
-    elems = data.enum()
+def _pair_iter(data: _CtxData, elems, rng: random.Random, exhaustive_up_to: int, count: int):
+    """Every pair of ``elems`` up to ``exhaustive_up_to`` points, else ``count`` seeded draws."""
     if data.ctx.n <= exhaustive_up_to:
         return itertools.product(elems, repeat=2)
-    return _sample_pairs(rng, elems, count)
+    m = len(elems)
+    return ((elems[rng.randrange(m)], elems[rng.randrange(m)]) for _ in range(count))
 
 
 # --- context-scoped checks ---------------------------------------------------
@@ -208,7 +210,7 @@ def _check_count_family(data: _CtxData, rng: random.Random):
 def _check_count_units(data: _CtxData, rng: random.Random):
     ctx = data.ctx
     n, k = ctx.n, len(ctx.y_set)
-    us = units(ctx)
+    us = data.units()
     checked = len(us)
     if len(us) != math.factorial(k) * math.factorial(n - k):
         return checked, _ex(data, got=len(us), want=math.factorial(k) * math.factorial(n - k))
@@ -257,12 +259,7 @@ def _check_closure(data: _CtxData, rng: random.Random):
     }
     checked = 0
     for family, getter in flag.items():
-        elems = data.enum(family)
-        if ctx.n <= 3:
-            pairs = itertools.product(elems, repeat=2)
-        else:
-            pairs = _sample_pairs(rng, elems, SAMPLE_PAIRS)
-        for f, g in pairs:
+        for f, g in _pair_iter(data, data.enum(family), rng, 3, SAMPLE_PAIRS):
             checked += 1
             if not getter(classify(ctx, compose(f, g))):
                 return checked, _ex(data, family=family, f=f, g=g, detail="product left the family")
@@ -301,13 +298,8 @@ def _check_restriction(data: _CtxData, rng: random.Random):
     from .core import restrict_to_y
 
     ctx = data.ctx
-    elems = data.enum("tbar")
     checked = 0
-    if ctx.n <= 3:
-        pairs = itertools.product(elems, repeat=2)
-    else:
-        pairs = _sample_pairs(rng, elems, SAMPLE_PAIRS)
-    for f, g in pairs:
+    for f, g in _pair_iter(data, data.enum("tbar"), rng, 3, SAMPLE_PAIRS):
         checked += 1
         lhs = restrict_to_y(ctx, compose(f, g))
         rhs = compose(restrict_to_y(ctx, f), restrict_to_y(ctx, g))
@@ -379,7 +371,7 @@ def _make_green_check(rel: str):
         ctx = data.ctx
         oracle = data.oracle()
         checked = 0
-        for f, g in _pair_iter(data, rng, 4, SAMPLE_PAIRS):
+        for f, g in _pair_iter(data, data.enum(), rng, 4, SAMPLE_PAIRS):
             want = oracle.related(rel, f, g)
             got = green_related(ctx, rel, f, g)
             checked += 1
@@ -391,33 +383,32 @@ def _make_green_check(rel: str):
 
 
 def _check_d_eq_j(data: _CtxData, rng: random.Random):
-    from .semigroup import d_related, j_related
-
+    """Finite D equals J, on the oracle side; the characterizations share one expression."""
+    oracle = data.oracle()
     checked = 0
-    for f, g in _pair_iter(data, rng, 4, SAMPLE_PAIRS):
+    for f, g in _pair_iter(data, data.enum(), rng, 4, SAMPLE_PAIRS):
         checked += 1
-        if d_related(data.ctx, f, g) != j_related(data.ctx, f, g):
+        if oracle.d_related(f, g) != oracle.j_related(f, g):
             return checked, _ex(data, f=f, g=g, detail="finite D and J disagree")
     return checked, None
 
 
 def _check_d_compositions(data: _CtxData, rng: random.Random):
-    """The two one-sided compositions that define D agree, on the oracle side."""
+    """On the oracle side L-then-R and R-then-L agree, and its first middle is the built one."""
     oracle = data.oracle()
     elems = data.enum()
     checked = 0
-    if data.ctx.n <= 3:
-        pairs = itertools.product(elems, repeat=2)
-    else:
-        pairs = _sample_pairs(rng, elems, SAMPLE_PAIRS // 4)
-    for f, g in pairs:
-        left_then_right = oracle.d_related(f, g)
+    for f, g in _pair_iter(data, elems, rng, 3, SAMPLE_PAIRS // 4):
+        middle = oracle.d_middle(f, g)
         right_then_left = any(
             oracle.r_related(f, w) and oracle.l_related(w, g) for w in elems
         )
         checked += 1
-        if left_then_right != right_then_left:
+        if (middle is not None) != right_then_left:
             return checked, _ex(data, f=f, g=g, detail="L-then-R and R-then-L compositions differ")
+        built = d_middle_witness(data.ctx, f, g)
+        if middle != built:
+            return checked, _ex(data, f=f, g=g, m=built, detail="D middle differs from the first one found")
     return checked, None
 
 
@@ -427,11 +418,7 @@ def _make_witness_check(side: str):
         oracle = data.oracle()
         elems = data.enum()
         checked = 0
-        if ctx.n <= 3:
-            pairs = itertools.product(elems, repeat=2)
-        else:
-            pairs = _sample_pairs(rng, elems, SAMPLE_WITNESS_PAIRS)
-        for f, g in pairs:
+        for f, g in _pair_iter(data, elems, rng, 3, SAMPLE_WITNESS_PAIRS):
             checked += 1
             if side == "L":
                 w = l_below_witness(ctx, f, g)
@@ -513,6 +500,12 @@ def _check_unit_regular(data: _CtxData, rng: random.Random):
         p = rep.witness_pre_inverse
         if p is None or compose(f, compose(p, f)).images != f.images:
             return checked, _ex(data, f=f, detail="pre-inverse witness recomposition")
+        first_u = next((v for v in data.units() if compose(f, compose(v, f)).images == f.images), None)
+        if u != first_u:
+            return checked, _ex(data, f=f, u=u, detail="unit witness is not the first matching unit")
+        first_p = next((g for g in data.enum() if compose(f, compose(g, f)).images == f.images), None)
+        if p != first_p:
+            return checked, _ex(data, f=f, p=p, detail="pre-inverse is not the first matching member")
     return checked, None
 
 
@@ -676,7 +669,7 @@ def _check_eggbox(data: _CtxData, rng: random.Random):
         return checked, _ex(data, detail="D-classes not in descending deficit order")
     top = box.d_classes[0]
     top_members = {e.images for row in top.cells for cell in row for e in cell.elements}
-    if top_members != {u.images for u in units(ctx)}:
+    if top_members != {u.images for u in data.units()}:
         return checked, _ex(data, detail="top D-class is not the unit group")
     for grid in box.d_classes:
         cell_sizes = {len(c.elements) for row in grid.cells for c in row}
@@ -919,22 +912,33 @@ def _rng_for(seed: int, label: str, n: int = -1, ys: tuple[int, ...] = ()) -> ra
     return random.Random(key)
 
 
+def _run_check(fn, args: tuple, where: dict) -> tuple[str, int, dict | None]:
+    """One check's (status, checked, counterexample); ``where`` heads an error's counterexample."""
+    try:
+        checked, ex = fn(*args)
+        return ("pass" if ex is None else "fail"), checked, ex
+    except BudgetError as e:
+        return "resource", 0, {**where, "error": str(e)}
+    except Exception as e:  # a crash is a counterexample, not a harness stop
+        return "fail", 0, {**where, "error": repr(e)}
+
+
 def _run_context(args) -> list[tuple[str, str, int, dict | None]]:
     seed, n, ys = args
     _apply_env_mutation()
     data = _CtxData(Context(n, ys))
-    rows = []
-    for label, fn in CTX_CHECKS:
-        rng = _rng_for(seed, label, n, ys)
-        try:
-            checked, ex = fn(data, rng)
-            status = "pass" if ex is None else "fail"
-        except BudgetError as e:
-            checked, ex, status = 0, {"n": n, "y": ",".join(map(str, ys)), "error": str(e)}, "resource"
-        except Exception as e:  # a crash is a counterexample, not a harness stop
-            checked, ex, status = 0, {"n": n, "y": ",".join(map(str, ys)), "error": repr(e)}, "fail"
-        rows.append((label, status, checked, ex))
-    return rows
+    where = {"n": n, "y": ",".join(map(str, ys))}
+    return [
+        (label, *_run_check(fn, (data, _rng_for(seed, label, n, ys)), where))
+        for label, fn in CTX_CHECKS
+    ]
+
+
+def pool_size(jobs: int, shards: int) -> int:
+    """Worker processes for a run: at most one per shard and per CPU; below 2 the run is serial."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    return min(jobs, shards, os.cpu_count() or 1)
 
 
 def run_verify(cfg: VerifyConfig) -> dict:
@@ -942,8 +946,9 @@ def run_verify(cfg: VerifyConfig) -> dict:
     _apply_env_mutation()
     ctxs = _contexts(cfg)
     shard_args = [(cfg.seed, n, ys) for n, ys in ctxs]
-    if cfg.jobs > 1 and len(shard_args) > 1:
-        with _mp_context("fork").Pool(processes=cfg.jobs) as pool:
+    procs = pool_size(cfg.jobs, len(shard_args))
+    if procs > 1:
+        with _mp_context("fork").Pool(processes=procs) as pool:
             shard_rows = pool.map(_run_context, shard_args)
     else:
         shard_rows = [_run_context(a) for a in shard_args]
@@ -962,14 +967,7 @@ def run_verify(cfg: VerifyConfig) -> dict:
         results.append({"label": label, "status": status, "checked": checked, "counterexample": ex})
 
     for label, fn in GLOBAL_CHECKS:
-        rng = _rng_for(cfg.seed, label)
-        try:
-            checked, ex = fn(rng)
-            status = "pass" if ex is None else "fail"
-        except BudgetError as e:
-            checked, ex, status = 0, {"error": str(e)}, "resource"
-        except Exception as e:
-            checked, ex, status = 0, {"error": repr(e)}, "fail"
+        status, checked, ex = _run_check(fn, (_rng_for(cfg.seed, label),), {})
         results.append({"label": label, "status": status, "checked": checked, "counterexample": ex})
 
     summary = {

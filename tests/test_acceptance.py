@@ -33,6 +33,7 @@ from invsemi.semigroup import (
     j_related,
     l_below_witness,
     r_below_witness,
+    units,
 )
 
 
@@ -80,11 +81,17 @@ def test_criterion_02_regular_set_equals_injective_on_y():
 def test_criterion_03_unit_regularity():
     t0 = time.monotonic()
     for ctx in all_contexts(4):
-        for f in enumerate_family(ctx):
-            rep = is_unit_regular(ctx, f)  # raises if oracle and criterion split
+        us = units(ctx)
+        elems = enumerate_family(ctx).elements
+        for f in elems:
+            rep = is_unit_regular(ctx, f)
             assert rep.is_unit_regular, (ctx, f)
             u = rep.witness_unit
             assert compose(f, compose(u, f)).images == f.images, (ctx, f)
+            # the constructed witnesses are the first ones a search finds
+            assert u == next(v for v in us if compose(f, compose(v, f)) == f), (ctx, f)
+            p = rep.witness_pre_inverse
+            assert p == next(g for g in elems if compose(f, compose(g, f)) == f), (ctx, f)
             t = rep.certifying_transversal
             assert ctx.y_frozen <= t
             assert ctx.n - len(t) == ctx.n - len(f.image()), (ctx, f)

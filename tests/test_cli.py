@@ -7,7 +7,9 @@ import sys
 
 import pytest
 
+from invsemi import Context, classify, compose, kernel_partition, parse_transformation
 from invsemi.cli import main
+from invsemi.verify import pool_size
 
 
 def run_cli(*argv):
@@ -65,6 +67,22 @@ def test_classify_member(capsys):
     assert reg["certifying_transversal"] == [0, 1]
 
 
+def test_classify_past_enumeration_cap(capsys):
+    # n = 7 is beyond the enumeration budget; the witnesses are built, not searched
+    ctx, f = Context(7, (0, 2)), parse_transformation("[2 5 0 5 6 0 1]")
+    assert main(["classify", "--n", "7", "--y", "0,2", "--f", str(f)]) == 0
+    reg = json.loads(capsys.readouterr().out)["regularity"]
+    assert reg["is_regular"] and reg["is_unit_regular"]
+    u = parse_transformation(reg["witness_unit"])
+    p = parse_transformation(reg["witness_pre_inverse"])
+    assert classify(ctx, u).is_unit_of_omegabar and classify(ctx, p).in_omegabar
+    assert compose(f, compose(u, f)) == f
+    assert compose(f, compose(p, f)) == f
+    t = set(reg["certifying_transversal"])
+    assert set(ctx.y_set) <= t
+    assert all(len(t & b) == 1 for b in kernel_partition(f).blocks)
+
+
 def test_classify_unit(capsys):
     assert main(["classify", "--n", "3", "--y", "0,1", "--f", "[0 1 2]"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -97,6 +115,20 @@ def test_green_witness_lines(capsys):
     out = capsys.readouterr().out.splitlines()
     assert "l_f_below_g=[1 0 1]" in out
     assert "l_g_below_f=[1 0 0]" in out
+
+
+def test_green_d_middle_past_enumeration_cap(capsys):
+    ys = frozenset({0, 2})
+    f, g = parse_transformation("[2 5 0 5 6 0 1]"), parse_transformation("[0 3 2 4 4 5 3]")
+    assert main(["green", "--n", "7", "--y", "0,2", "--rel", "D", "--witness",
+                 "--f", str(f), "--g", str(g)]) == 0
+    kv = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+    assert kv["related"] == "true"
+    m = parse_transformation(kv["d_middle"])
+    pm, pg = kernel_partition(m), kernel_partition(g)
+    assert m.image() == f.image()
+    assert pm.block_sets() == pg.block_sets()
+    assert set(pm.fibers_over(ys)) == set(pg.fibers_over(ys))
 
 
 def test_green_unrelated(capsys):
@@ -203,6 +235,21 @@ def test_verify_jobs_do_not_change_output():
     a = run_cli("verify", "--max-n", "2", "--seed", "7", "--jobs", "1")
     b = run_cli("verify", "--max-n", "2", "--seed", "7", "--jobs", "3")
     assert a.stdout == b.stdout
+
+
+def test_verify_pool_size_is_clamped():
+    cpus = os.cpu_count() or 1
+    assert pool_size(1, 10) == 1
+    assert pool_size(10_000, 3) == min(3, cpus)
+    assert pool_size(10_000, 10_000) == cpus
+    for bad in (0, -1):
+        with pytest.raises(ValueError):
+            pool_size(bad, 10)
+
+
+def test_verify_jobs_below_one_exits_2():
+    assert main(["verify", "--max-n", "1", "--jobs", "0"]) == 2
+    assert main(["verify", "--max-n", "1", "--jobs", "-3"]) == 2
 
 
 def test_verify_mutant_detected():

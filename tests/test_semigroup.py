@@ -16,6 +16,7 @@ from invsemi import (
 )
 from invsemi.semigroup import (
     FAMILIES,
+    d_middle_witness,
     d_related,
     eggbox,
     eggbox_dot,
@@ -208,6 +209,19 @@ def test_witnesses_lex_least():
         w = r_below_witness(C31, f, g)
         first = next((h for h in elems if compose(g, h).images == f.images), None)
         assert (w.images if w else None) == (first.images if first else None)
+
+
+def test_d_middle_witness_is_first_oracle_middle():
+    # every pair over every Y up to n = 3: the built middle is the first
+    # one the definitional search finds, and exists exactly when it does
+    for n in (1, 2, 3):
+        for r in range(1, n + 1):
+            for ys in itertools.combinations(range(n), r):
+                ctx = Context(n, ys)
+                oracle = green_oracle(ctx)
+                elems = enumerate_family(ctx).elements
+                for f, g in itertools.product(elems, repeat=2):
+                    assert d_middle_witness(ctx, f, g) == oracle.d_middle(f, g), (ctx, f, g)
 
 
 def test_witness_membership():
