@@ -2,18 +2,21 @@
 
 The down-set of any nonempty subset under two-sided divisibility is an
 ideal, every ideal arises that way, and all of them can be listed by brute
-force over down-sets of J-classes.  The threshold sets j_st carve members by
-two numbers: how many fibers over Y are smaller than Y itself, and how many
-image points fall outside Y.  Over a finite Y the first threshold is
-degenerate (every fiber of a bijection on Y is a singleton), which j_st
-reports through a warning instead of pretending the cut is interesting.
+force over down-sets of J-classes.  The family is a monoid, so a subset I
+is an ideal as soon as SI and IS lie inside I: the products h f h2 then stay
+inside too, and the definitional test needs no pair (h, h2).  The threshold
+sets j_st carve members by two numbers: how many fibers over Y are smaller
+than Y itself, and how many image points fall outside Y.  Over a finite Y
+the first threshold is degenerate (every fiber of a bijection on Y is a
+singleton), which j_st reports through a warning instead of pretending the
+cut is interesting.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Context, Transformation, classify, compose, image_deficit
+from .core import Context, Transformation, classify, compose, identity, image_deficit
 from .errors import DomainError
 from .extnat import ExtNat, as_extnat, n_value, profile_of
 from .semigroup import enumerate_family, j_below_holds
@@ -48,46 +51,49 @@ def _checked_subset(ctx: Context, subset) -> tuple[Transformation, ...]:
     return tuple(sorted(fs, key=lambda f: f.images))
 
 
-def j_of_f(ctx: Context, subset, budget: int | None = None) -> IdealSet:
+def j_of_f(ctx: Context, subset) -> IdealSet:
     """The divisibility down-set of a nonempty subset: all f below some g."""
     gens = _checked_subset(ctx, subset)
     members = tuple(
         f
-        for f in enumerate_family(ctx, "omegabar", budget).elements
+        for f in enumerate_family(ctx, "omegabar").elements
         if any(j_below_holds(ctx, f, g) for g in gens)
     )
     return IdealSet(ctx=ctx, members=members, generator_hint=gens)
 
 
-def is_ideal(ctx: Context, subset, budget: int | None = None) -> bool:
-    """Definitional check: h f h2 stays inside, for all members h, h2."""
+def is_ideal(ctx: Context, subset) -> bool:
+    """Definitional check: h f and f h stay inside, for every member h.
+
+    That is the two-sided definition (h f h2 inside for all h, h2) because
+    the family is a monoid: h f h2 = (h f) h2, and h2 = 1 or h = 1 gives
+    back h f and f h.
+    """
     fs = _checked_subset(ctx, subset)
     inside = {f.images for f in fs}
-    elems = enumerate_family(ctx, "omegabar", budget).elements
-    for f in fs:
-        for h in elems:
-            hf = compose(h, f)
-            for h2 in elems:
-                if compose(hf, h2).images not in inside:
-                    return False
-    return True
+    elems = enumerate_family(ctx, "omegabar").elements
+    return all(
+        compose(h, f).images in inside and compose(f, h).images in inside
+        for f in fs
+        for h in elems
+    )
 
 
-def j_classes(ctx: Context, budget: int | None = None) -> tuple[tuple[Transformation, ...], ...]:
+def j_classes(ctx: Context) -> tuple[tuple[Transformation, ...], ...]:
     """Partition of the family under mutual two-sided divisibility.
 
     Over a finite Y that is equality of image deficits; classes come in order
     of their first member.
     """
     classes: dict[int, list[Transformation]] = {}
-    for f in enumerate_family(ctx, "omegabar", budget).elements:
+    for f in enumerate_family(ctx, "omegabar").elements:
         classes.setdefault(image_deficit(ctx, f), []).append(f)
     return tuple(tuple(c) for c in classes.values())
 
 
-def ideals_all(ctx: Context, budget: int | None = None) -> tuple[IdealSet, ...]:
+def ideals_all(ctx: Context) -> tuple[IdealSet, ...]:
     """Every ideal, by brute force over down-sets of J-classes, smallest first."""
-    classes = j_classes(ctx, budget)
+    classes = j_classes(ctx)
     reps = [c[0] for c in classes]
     k = len(classes)
     below = [[j_below_holds(ctx, reps[i], reps[j]) for j in range(k)] for i in range(k)]
@@ -110,16 +116,17 @@ def ideals_all(ctx: Context, budget: int | None = None) -> tuple[IdealSet, ...]:
     return tuple(out)
 
 
-def j_st(ctx: Context, s: "ExtNat | int", t: int, budget: int | None = None) -> IdealSet:
+def j_st(ctx: Context, s: "ExtNat | int", t: int) -> IdealSet:
     """Members with at most s small fibers over Y and image deficit at most t."""
     s_val = as_extnat(s)
     if not isinstance(t, int) or not 0 <= t <= ctx.n - len(ctx.y_set):
         raise ValueError(f"deficit threshold t must lie in 0..{ctx.n - len(ctx.y_set)}, got {t!r}")
-    ambient = ExtNat(len(ctx.y_set))
+    # every member's profile over a finite Y is all ones, like the identity's
+    small = n_value(profile_of(ctx, identity(ctx.n)), ExtNat(len(ctx.y_set)))
     members = tuple(
         f
-        for f in enumerate_family(ctx, "omegabar", budget).elements
-        if n_value(profile_of(ctx, f), ambient) <= s_val and image_deficit(ctx, f) <= t
+        for f in enumerate_family(ctx, "omegabar").elements
+        if small <= s_val and image_deficit(ctx, f) <= t
     )
     warning = None
     if not members:
@@ -131,9 +138,9 @@ def j_st(ctx: Context, s: "ExtNat | int", t: int, budget: int | None = None) -> 
     return IdealSet(ctx=ctx, members=members, warning=warning)
 
 
-def kernel(ctx: Context, budget: int | None = None) -> IdealSet:
+def kernel(ctx: Context) -> IdealSet:
     """The least ideal, computed as the intersection of all of them."""
-    all_ideals = ideals_all(ctx, budget)
+    all_ideals = ideals_all(ctx)
     if not all_ideals:
         raise DomainError("no ideals found; the family should always have at least one")
     common = set(all_ideals[0].as_set())

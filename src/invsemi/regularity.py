@@ -37,7 +37,6 @@ def pre_inverses(
     ctx: Context,
     f: Transformation,
     family: str = "omegabar",
-    budget: int | None = None,
     enum: SemigroupEnum | None = None,
 ) -> tuple[Transformation, ...]:
     """All g in the family with f g f = f, in lexicographic order.
@@ -46,7 +45,7 @@ def pre_inverses(
     enumeration across many calls.
     """
     if enum is None:
-        enum = enumerate_family(ctx, family, budget)
+        enum = enumerate_family(ctx, family)
     elif enum.ctx != ctx or (family != enum.family):
         raise DomainError("supplied enumeration does not match the requested family")
     flags = classify(ctx, f)
@@ -69,12 +68,12 @@ def is_regular(ctx: Context, f: Transformation) -> bool:
     return flags.in_sbar
 
 
-def is_regular_oracle(ctx: Context, f: Transformation, budget: int | None = None) -> bool:
+def is_regular_oracle(ctx: Context, f: Transformation) -> bool:
     """Definitional test: some member g satisfies f g f = f."""
     flags = classify(ctx, f)
     if not flags.in_omegabar:
         raise DomainError(f"{f} does not carry Y onto Y in context {ctx}")
-    for g in enumerate_family(ctx, "omegabar", budget).elements:
+    for g in enumerate_family(ctx, "omegabar").elements:
         if compose(f, compose(g, f)).images == f.images:
             return True
     return False
@@ -126,8 +125,8 @@ def is_unit_regular(ctx: Context, f: Transformation) -> RegularityReport:
     )
 
 
-def regular_elements(ctx: Context, budget: int | None = None) -> tuple[Transformation, ...]:
+def regular_elements(ctx: Context) -> tuple[Transformation, ...]:
     """Members regular in the structural sense, in lexicographic order."""
     return tuple(
-        f for f in enumerate_family(ctx, "omegabar", budget).elements if is_regular(ctx, f)
+        f for f in enumerate_family(ctx, "omegabar").elements if is_regular(ctx, f)
     )

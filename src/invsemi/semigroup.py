@@ -418,9 +418,9 @@ class EggBox:
     j_below_pairs: tuple[tuple[int, int], ...]
 
 
-def eggbox(ctx: Context, budget: int | None = None) -> EggBox:
+def eggbox(ctx: Context) -> EggBox:
     """Group the family into D-classes and lay each out as an R-by-L grid."""
-    elems = enumerate_family(ctx, "omegabar", budget).elements
+    elems = enumerate_family(ctx, "omegabar").elements
     yset = ctx.y_frozen
 
     def r_key(f: Transformation):

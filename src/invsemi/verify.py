@@ -38,6 +38,7 @@ from .core import (
     image_deficit,
     kernel_partition,
     parse_transformation,
+    restrict_to_y,
     transformation_from_json,
     transformation_to_json,
     transversals,
@@ -76,6 +77,7 @@ SAMPLE_TRIPLES = 400
 SAMPLE_WITNESS_PAIRS = 300
 SAMPLE_SUBSETS = 6
 SAMPLE_ELEMENTS = 120
+SAMPLE_ABSORPTIONS = 1500
 EXHAUSTIVE_MAPS_LIMIT = 200_000
 
 
@@ -150,12 +152,35 @@ def _ex(data: _CtxData, **kv) -> dict:
     return out
 
 
-def _pair_iter(data: _CtxData, elems, rng: random.Random, exhaustive_up_to: int, count: int):
-    """Every pair of ``elems`` up to ``exhaustive_up_to`` points, else ``count`` seeded draws."""
+def _pair_iter(data: _CtxData, elems, rng: random.Random, exhaustive_up_to: int, count: int, arity: int = 2):
+    """Every ``arity``-tuple of ``elems`` up to ``exhaustive_up_to`` points, else ``count`` seeded draws."""
     if data.ctx.n <= exhaustive_up_to:
-        return itertools.product(elems, repeat=2)
+        return itertools.product(elems, repeat=arity)
     m = len(elems)
-    return ((elems[rng.randrange(m)], elems[rng.randrange(m)]) for _ in range(count))
+    return (tuple(elems[rng.randrange(m)] for _ in range(arity)) for _ in range(count))
+
+
+def _member_iter(data: _CtxData, elems, rng: random.Random, count: int):
+    """Every member of ``elems`` up to n = 4, else ``count`` seeded draws."""
+    return (f for (f,) in _pair_iter(data, elems, rng, 4, count, arity=1))
+
+
+def _ideal_holds(data: _CtxData, members, rng: random.Random) -> bool:
+    """``is_ideal`` up to n = 4; above, h f and f h on seeded (member f, h) draws.
+
+    The exact test costs |I|·m products per set, about 10 s per (5,{0})
+    context over the sets the ideal checks ask about.
+    """
+    if data.ctx.n <= 4:
+        return is_ideal(data.ctx, members)
+    elems = data.enum()
+    inside = {f.images for f in members}
+    for _ in range(SAMPLE_ABSORPTIONS):
+        f = members[rng.randrange(len(members))]
+        h = elems[rng.randrange(len(elems))]
+        if compose(h, f).images not in inside or compose(f, h).images not in inside:
+            return False
+    return True
 
 
 # --- context-scoped checks ---------------------------------------------------
@@ -232,17 +257,8 @@ def _check_count_units(data: _CtxData, rng: random.Random):
 
 
 def _check_assoc(data: _CtxData, rng: random.Random):
-    elems = data.enum()
     checked = 0
-    if data.ctx.n <= 3:
-        triples = itertools.product(elems, repeat=3)
-    else:
-        m = len(elems)
-        triples = (
-            (elems[rng.randrange(m)], elems[rng.randrange(m)], elems[rng.randrange(m)])
-            for _ in range(SAMPLE_TRIPLES)
-        )
-    for f, g, h in triples:
+    for f, g, h in _pair_iter(data, data.enum(), rng, 3, SAMPLE_TRIPLES, arity=3):
         checked += 1
         if compose(compose(f, g), h).images != compose(f, compose(g, h)).images:
             return checked, _ex(data, f=f, g=g, h=h, detail="associativity broken")
@@ -295,8 +311,6 @@ def _check_membership(data: _CtxData, rng: random.Random):
 
 
 def _check_restriction(data: _CtxData, rng: random.Random):
-    from .core import restrict_to_y
-
     ctx = data.ctx
     checked = 0
     for f, g in _pair_iter(data, data.enum("tbar"), rng, 3, SAMPLE_PAIRS):
@@ -319,18 +333,14 @@ def _check_restriction(data: _CtxData, rng: random.Random):
 def _check_transversals(data: _CtxData, rng: random.Random):
     ctx = data.ctx
     n = ctx.n
-    elems = data.enum()
-    if ctx.n >= 5:
-        elems = tuple(elems[rng.randrange(len(elems))] for _ in range(40))
+    all_subsets = [
+        frozenset(s)
+        for r in range(n + 1)
+        for s in itertools.combinations(range(n), r)
+    ]
     checked = 0
-    for f in elems:
-        part = kernel_partition(f)
-        blocks = part.blocks
-        all_subsets = [
-            frozenset(s)
-            for r in range(n + 1)
-            for s in itertools.combinations(range(n), r)
-        ]
+    for f in _member_iter(data, data.enum(), rng, 40):
+        blocks = kernel_partition(f).blocks
         want_plain = sorted(
             (t for t in all_subsets if all(len(t & b) == 1 for b in blocks)),
             key=lambda t: tuple(sorted(t)),
@@ -412,7 +422,14 @@ def _check_d_compositions(data: _CtxData, rng: random.Random):
     return checked, None
 
 
-def _make_witness_check(side: str):
+def _make_witness_check(side: str, build: str, below: str, product):
+    """witness.L and witness.R: ``build`` gives w with product(w, g) = f exactly
+    when the oracle's ``below`` holds, and w is the first member that does.
+
+    ``build`` and ``below`` are names, looked up on each call so that wrappers
+    put on this module or on the oracle class see the calls.
+    """
+
     def run(data: _CtxData, rng: random.Random):
         ctx = data.ctx
         oracle = data.oracle()
@@ -420,53 +437,43 @@ def _make_witness_check(side: str):
         checked = 0
         for f, g in _pair_iter(data, elems, rng, 3, SAMPLE_WITNESS_PAIRS):
             checked += 1
-            if side == "L":
-                w = l_below_witness(ctx, f, g)
-                if (w is None) != (not oracle.l_below(f, g)):
-                    return checked, _ex(data, f=f, g=g, detail="L witness presence vs oracle")
-                if w is not None:
-                    if compose(w, g).images != f.images:
-                        return checked, _ex(data, f=f, g=g, w=w, detail="L witness recomposition")
-                    first = next(
-                        (h for h in elems if compose(h, g).images == f.images), None
-                    )
-                    if first is None or w.images != first.images:
-                        return checked, _ex(data, f=f, g=g, w=w, detail="L witness not lex-least")
-            elif side == "R":
-                w = r_below_witness(ctx, f, g)
-                if (w is None) != (not oracle.r_below(f, g)):
-                    return checked, _ex(data, f=f, g=g, detail="R witness presence vs oracle")
-                if w is not None:
-                    if compose(g, w).images != f.images:
-                        return checked, _ex(data, f=f, g=g, w=w, detail="R witness recomposition")
-                    first = next(
-                        (h for h in elems if compose(g, h).images == f.images), None
-                    )
-                    if first is None or w.images != first.images:
-                        return checked, _ex(data, f=f, g=g, w=w, detail="R witness not lex-least")
-            else:
-                pair = j_below_witness(ctx, f, g)
-                if (pair is None) != (not oracle.j_below(f, g)):
-                    return checked, _ex(data, f=f, g=g, detail="J witness presence vs oracle")
-                if pair is not None:
-                    h, h2 = pair
-                    if compose(h, compose(g, h2)).images != f.images:
-                        return checked, _ex(data, f=f, g=g, detail="J witness recomposition")
-                    fl1, fl2 = classify(ctx, h), classify(ctx, h2)
-                    if not (fl1.in_omegabar and fl2.in_omegabar):
-                        return checked, _ex(data, f=f, g=g, detail="J witness left the family")
+            w = globals()[build](ctx, f, g)
+            if (w is None) != (not getattr(oracle, below)(f, g)):
+                return checked, _ex(data, f=f, g=g, detail=f"{side} witness presence vs oracle")
+            if w is not None:
+                if product(w, g).images != f.images:
+                    return checked, _ex(data, f=f, g=g, w=w, detail=f"{side} witness recomposition")
+                first = next((h for h in elems if product(h, g).images == f.images), None)
+                if first is None or w.images != first.images:
+                    return checked, _ex(data, f=f, g=g, w=w, detail=f"{side} witness not lex-least")
         return checked, None
 
     return run
 
 
+def _check_j_witness(data: _CtxData, rng: random.Random):
+    ctx = data.ctx
+    oracle = data.oracle()
+    checked = 0
+    for f, g in _pair_iter(data, data.enum(), rng, 3, SAMPLE_WITNESS_PAIRS):
+        checked += 1
+        pair = j_below_witness(ctx, f, g)
+        if (pair is None) != (not oracle.j_below(f, g)):
+            return checked, _ex(data, f=f, g=g, detail="J witness presence vs oracle")
+        if pair is not None:
+            h, h2 = pair
+            if compose(h, compose(g, h2)).images != f.images:
+                return checked, _ex(data, f=f, g=g, detail="J witness recomposition")
+            fl1, fl2 = classify(ctx, h), classify(ctx, h2)
+            if not (fl1.in_omegabar and fl2.in_omegabar):
+                return checked, _ex(data, f=f, g=g, detail="J witness left the family")
+    return checked, None
+
+
 def _check_reg_char(data: _CtxData, rng: random.Random):
     ctx = data.ctx
-    elems = data.enum()
-    if ctx.n >= 5:
-        elems = tuple(elems[rng.randrange(len(elems))] for _ in range(SAMPLE_ELEMENTS))
     checked = 0
-    for f in elems:
+    for f in _member_iter(data, data.enum(), rng, SAMPLE_ELEMENTS):
         checked += 1
         if is_regular(ctx, f) != is_regular_oracle(ctx, f):
             return checked, _ex(data, f=f, detail="regularity characterization vs search")
@@ -475,11 +482,8 @@ def _check_reg_char(data: _CtxData, rng: random.Random):
 
 def _check_unit_regular(data: _CtxData, rng: random.Random):
     ctx = data.ctx
-    elems = data.enum()
-    if ctx.n >= 5:
-        elems = tuple(elems[rng.randrange(len(elems))] for _ in range(60))
     checked = 0
-    for f in elems:
+    for f in _member_iter(data, data.enum(), rng, 60):
         rep = is_unit_regular(ctx, f)
         checked += 1
         if not (rep.is_regular and rep.is_unit_regular):
@@ -512,40 +516,18 @@ def _check_unit_regular(data: _CtxData, rng: random.Random):
 def _check_pre_inverse(data: _CtxData, rng: random.Random):
     ctx = data.ctx
     enum_tbar = enumerate_family(ctx, "tbar")
-
-    def pick(family):
-        elems = data.enum(family)
-        if ctx.n <= 4:
-            return elems
-        return tuple(elems[rng.randrange(len(elems))] for _ in range(40))
-
     checked = 0
-    for f in pick("sbar"):
+    for f in _member_iter(data, data.enum("sbar"), rng, 40):
         for g in pre_inverses(ctx, f, "tbar", enum=enum_tbar):
             checked += 1
             if not classify(ctx, g).in_sbar:
                 return checked, _ex(data, f=f, g=g, detail="pre-inverse escaped sbar")
-    for f in pick("fix"):
+    for f in _member_iter(data, data.enum("fix"), rng, 40):
         for g in pre_inverses(ctx, f, "tbar", enum=enum_tbar):
             checked += 1
             if not classify(ctx, g).in_fix:
                 return checked, _ex(data, f=f, g=g, detail="pre-inverse escaped fix")
     return checked, None
-
-
-def _absorption_sampled(ideal_set, elems, rng, trials: int = 1500) -> bool:
-    # randomized stand-in for is_ideal; the full scan is cubic in the family
-    # size, which is prohibitive from n = 5 up
-    members = ideal_set.members
-    have = ideal_set.as_set()
-    m = len(elems)
-    for _ in range(trials):
-        f = members[rng.randrange(len(members))]
-        h = elems[rng.randrange(m)]
-        h2 = elems[rng.randrange(m)]
-        if compose(h, compose(f, h2)).images not in have:
-            return False
-    return True
 
 
 def _check_ideal_down_sets(data: _CtxData, rng: random.Random):
@@ -556,8 +538,8 @@ def _check_ideal_down_sets(data: _CtxData, rng: random.Random):
     if ctx.n <= 3:
         subset_masks = range(1, 1 << m)
     else:
-        # small random generating sets; their down-sets are already most of
-        # the family, so a handful keeps the definitional check affordable
+        # 2^m subsets are too many from n = 4 up; the down-sets of a few small
+        # random generating sets are already most of the family
         subset_masks = (
             sum(1 << i for i in rng.sample(range(m), rng.randrange(1, 3)))
             for _ in range(SAMPLE_SUBSETS)
@@ -566,13 +548,11 @@ def _check_ideal_down_sets(data: _CtxData, rng: random.Random):
         subset = [elems[i] for i in range(m) if mask >> i & 1]
         down = j_of_f(ctx, subset)
         checked += 1
-        if ctx.n <= 4:
-            ok = is_ideal(ctx, down.members)
-        else:
-            ok = _absorption_sampled(down, elems, rng)
-        if not ok:
+        if not _ideal_holds(data, down.members, rng):
             return checked, _ex(data, subset=[str(f) for f in subset], detail="down-set is not an ideal")
-        if ctx.n <= 4 and is_ideal(ctx, subset) and down.as_set() != {f.images for f in subset}:
+        # the subset is small (one or two members from n = 4 up), so the
+        # exact test is cheap at every n
+        if is_ideal(ctx, subset) and down.as_set() != {f.images for f in subset}:
             return checked, _ex(data, subset=[str(f) for f in subset], detail="ideal not equal to its down-set")
     return checked, None
 
@@ -595,7 +575,7 @@ def _check_ideal_enumerate(data: _CtxData, rng: random.Random):
             continue
         if j_of_f(ctx, ideal.members).as_set() != ideal.as_set():
             return checked, _ex(data, detail="ideal is not its own down-set")
-        if ctx.n <= 3 and not is_ideal(ctx, ideal.members):
+        if not _ideal_holds(data, ideal.members, rng):
             return checked, _ex(data, detail="listed ideal fails definitional check")
         checked += 1
     return checked, None
@@ -623,11 +603,7 @@ def _check_ideal_thresholds(data: _CtxData, rng: random.Random):
     if n > k:
         mid = j_st(ctx, k, 0)
         checked += 1
-        if ctx.n <= 4:
-            ok = is_ideal(ctx, mid.members)
-        else:
-            ok = _absorption_sampled(mid, data.enum(), rng)
-        if not ok:
+        if not _ideal_holds(data, mid.members, rng):
             return checked, _ex(data, detail="bottom threshold set is not an ideal")
     return checked, None
 
@@ -719,9 +695,9 @@ CTX_CHECKS: list[tuple[str, object]] = [
     ("green.J", _make_green_check("J")),
     ("green.D_eq_J", _check_d_eq_j),
     ("green.D_compositions", _check_d_compositions),
-    ("witness.L", _make_witness_check("L")),
-    ("witness.R", _make_witness_check("R")),
-    ("witness.J", _make_witness_check("J")),
+    ("witness.L", _make_witness_check("L", "l_below_witness", "l_below", lambda w, g: compose(w, g))),
+    ("witness.R", _make_witness_check("R", "r_below_witness", "r_below", lambda w, g: compose(g, w))),
+    ("witness.J", _check_j_witness),
     ("reg.char", _check_reg_char),
     ("reg.unit_regular", _check_unit_regular),
     ("reg.pre_inverse", _check_pre_inverse),

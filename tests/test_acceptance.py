@@ -11,6 +11,7 @@ import random
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 from invsemi import (
     Context,
@@ -35,6 +36,8 @@ from invsemi.semigroup import (
     r_below_witness,
     units,
 )
+
+RECORDED_SEED7 = Path(__file__).parent / "data" / "verify_seed7.json"
 
 
 def all_contexts(max_n):
@@ -258,5 +261,7 @@ def test_criterion_11_verify_determinism():
         assert r.returncode == 0, r.stdout[-2000:]
     assert runs[0].stdout == runs[1].stdout
     assert runs[0].stdout.encode() == runs[1].stdout.encode()
+    # and byte-identical to the committed report, so a refactor cannot drift
+    assert runs[0].stdout.encode() == RECORDED_SEED7.read_bytes()
     elapsed = time.monotonic() - t0
     report("criterion 11: two seeded runs byte-identical", elapsed)

@@ -51,6 +51,49 @@ def test_is_ideal_frozen():
     assert is_ideal(C31, enumerate_family(C31).elements)
 
 
+def _is_ideal_cubic(ctx, subset):
+    # the two-sided definition itself: h f h2 inside for all members h, h2
+    inside = {f.images for f in subset}
+    elems = enumerate_family(ctx).elements
+    return all(
+        compose(compose(h, f), h2).images in inside
+        for f in subset
+        for h in elems
+        for h2 in elems
+    )
+
+
+def test_is_ideal_agrees_with_cubic_definition_n_le_3():
+    for n in (1, 2, 3):
+        for r in range(1, n + 1):
+            for ys in itertools.combinations(range(n), r):
+                ctx = Context(n, ys)
+                elems = enumerate_family(ctx).elements
+                for k in range(1, len(elems) + 1):
+                    for subset in itertools.combinations(elems, k):
+                        assert is_ideal(ctx, subset) == _is_ideal_cubic(ctx, subset), (ctx, subset)
+
+
+@pytest.mark.parametrize(
+    "ys, literals, left_closed",
+    [
+        # closed under h f only: images stay inside {0, 1}
+        ((0,), ["[0 0 0]", "[0 0 1]", "[0 1 0]", "[0 1 1]"], True),
+        # closed under f h only: kernel {0}{1 2} with image Y
+        ((0, 1), ["[0 1 1]", "[1 0 0]"], False),
+    ],
+)
+def test_is_ideal_rejects_one_sided_ideal(ys, literals, left_closed):
+    ctx = Context(3, ys)
+    subset = [T(s) for s in literals]
+    inside = {f.images for f in subset}
+    elems = enumerate_family(ctx).elements
+    hf = all(compose(h, f).images in inside for f in subset for h in elems)
+    fh = all(compose(f, h).images in inside for f in subset for h in elems)
+    assert (hf, fh) == (left_closed, not left_closed)
+    assert not is_ideal(ctx, subset)
+
+
 def test_down_set_is_ideal_every_subset_n3():
     elems = enumerate_family(C31).elements
     m = len(elems)
