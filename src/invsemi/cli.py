@@ -227,6 +227,21 @@ def cmd_kernel(args) -> int:
     return 0
 
 
+def _cover_doc(p, q) -> dict | None:
+    """q packed into p by j_condition, checked independently by cover_is_valid."""
+    cover = j_condition(p, q)
+    if cover is None:
+        return None
+    if not cover_is_valid(p, q, cover):
+        raise RuntimeError(f"j_condition returned an invalid cover of {q} into {p}: {cover}")
+    return {
+        "blocks": [sorted(b) for b in cover.blocks],
+        "to_rest": sorted(cover.to_rest),
+        "rest_to_rest": cover.rest_to_rest,
+        "rest_to_block": cover.rest_to_block,
+    }
+
+
 def cmd_profile(args) -> int:
     p = parse_profile(args.p)
     q = parse_profile(args.q)
@@ -237,30 +252,8 @@ def cmd_profile(args) -> int:
         m = d_condition(p, q)
         doc["d"] = None if m is None else {str(k): v for k, v in m.items()}
     if want_j:
-        fwd = j_condition(p, q)
-        bwd = j_condition(q, p)
-        assert fwd is None or cover_is_valid(p, q, fwd)
-        assert bwd is None or cover_is_valid(q, p, bwd)
-        doc["pack_q_into_p"] = (
-            None
-            if fwd is None
-            else {
-                "blocks": [sorted(b) for b in fwd.blocks],
-                "to_rest": sorted(fwd.to_rest),
-                "rest_to_rest": fwd.rest_to_rest,
-                "rest_to_block": fwd.rest_to_block,
-            }
-        )
-        doc["pack_p_into_q"] = (
-            None
-            if bwd is None
-            else {
-                "blocks": [sorted(b) for b in bwd.blocks],
-                "to_rest": sorted(bwd.to_rest),
-                "rest_to_rest": bwd.rest_to_rest,
-                "rest_to_block": bwd.rest_to_block,
-            }
-        )
+        doc["pack_q_into_p"] = _cover_doc(p, q)
+        doc["pack_p_into_q"] = _cover_doc(q, p)
     if args.format == "json":
         print(json.dumps(doc, indent=2))
     else:

@@ -22,11 +22,15 @@ which is the separation the profile calculus exists to exhibit.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import BudgetError, DimensionError, DomainError
 
-# Backtracking guard: explicit index lists longer than this are refused.
+# Input limit: profiles with more explicit indices than this are refused
+# (exit 3 from the CLI).  Within it the packing search is bounded-time.
 MAX_EXPLICIT_INDICES = 8
 
 
@@ -225,8 +229,12 @@ def j_condition(p: FiberProfile, q: FiberProfile) -> IndexedCover | None:
     assigns every explicit index of q to some bin with blockwise sums within
     capacity.  Rest tails: q's tail needs either p's tail (matched 1-to-1)
     or an explicit infinite bin; p's tail additionally absorbs explicit
-    size-1 entries of q, one per slot.  The first cover in a fixed search
-    order is returned, so equal inputs give equal covers.
+    size-1 entries of q, one per slot.  Equal inputs give equal covers:
+    when the entries left for the bins and the bins are all finite and
+    their totals are equal, the first-fit-decreasing cover is returned if
+    there is one; every other input gets the first cover in index order
+    (entries by index, each tried in the bins by index).  Within the index
+    cap the answer comes in bounded time (see ``_pack``).
     """
     k, m = len(p.sizes), len(q.sizes)
     if k > MAX_EXPLICIT_INDICES or m > MAX_EXPLICIT_INDICES:
@@ -245,9 +253,9 @@ def j_condition(p: FiberProfile, q: FiberProfile) -> IndexedCover | None:
     # With a rest tail on the left, explicit 1s on the right go there: each
     # occupies one of infinitely many free slots and can never hurt packing.
     to_rest = frozenset(j for j in range(m) if p.rest_ones and q.sizes[j] == ONE)
-    entries = [(j, q.sizes[j]) for j in range(m) if j not in to_rest]
+    entries = [(j, _num(q.sizes[j])) for j in range(m) if j not in to_rest]
 
-    assign = _pack(entries, list(p.sizes))
+    assign = _pack(entries, [_num(c) for c in p.sizes])
     if assign is None:
         return None
     blocks = tuple(
@@ -258,52 +266,113 @@ def j_condition(p: FiberProfile, q: FiberProfile) -> IndexedCover | None:
     )
 
 
-def _pack(entries: list[tuple[int, ExtNat]], caps: list[ExtNat]) -> dict[int, int] | None:
-    """First-found assignment of entries to capacity bins, or None."""
+def _num(x: ExtNat) -> float:
+    """The plain number the packing search works on: an int, or inf for omega."""
+    return math.inf if x.is_omega else x.value
+
+
+def _pack(entries: list[tuple[int, float]], caps: list[float]) -> dict[int, int] | None:
+    """First assignment of entries (index, size) to bins of capacity caps, or None.
+
+    Sizes and capacities are ints, with inf for omega: an omega entry fits
+    only an omega bin, and an omega bin takes any load.  When entries and
+    bins are all finite and exactly tight, the first-fit-decreasing
+    assignment is returned if there is one.  Otherwise the answer is the
+    first assignment in index order, the one a depth-first search over the
+    entries by index, trying the bins by index, reaches first.  It is built
+    without backtracking: each entry in turn goes to the first bin that
+    leaves the later entries packable.  With an omega bin they always are
+    (that bin holds them all), so this is plain first fit; otherwise
+    ``_packable`` decides.
+    """
     if not entries:
         return {}
-    # Fast path: all finite and exactly tight, so first-fit-decreasing either
-    # finishes or says nothing (packing may still exist; fall through).
-    if all(not s.is_omega for _, s in entries) and all(not c.is_omega for c in caps):
-        total = sum(s.value for _, s in entries)
-        if total > sum(c.value for c in caps):
-            return None
-        if total == sum(c.value for c in caps):
-            greedy = _first_fit_decreasing(entries, caps)
-            if greedy is not None:
-                return greedy
-    sums = [ZERO] * len(caps)
+    sizes = [s for _, s in entries]
+    # all finite (an omega entry would make the load infinite) and tight
+    if math.inf not in caps and sum(sizes) == sum(caps):
+        greedy = _first_fit(sorted(entries, key=lambda e: (-e[1], e[0])), caps)
+        if greedy is not None:
+            return greedy
+    if math.inf in caps:
+        return _first_fit(entries, caps)
+    if math.inf in sizes:  # an omega entry fits no finite bin
+        return None
+    free = list(caps)
+    failed: set[tuple] = set()
+    if not _packable(sorted(sizes, reverse=True), free, failed):
+        return None
     assign: dict[int, int] = {}
+    for d, (j, s) in enumerate(entries):
+        later = sorted(sizes[d + 1 :], reverse=True)
+        # the entries from d on are packable, so some bin passes
+        for b, r in enumerate(free):
+            if s <= r:
+                free[b] = r - s
+                if _packable(later, free, failed):
+                    assign[j] = b
+                    break
+                free[b] = r
+    return assign
 
-    def rec(k: int) -> bool:
-        if k == len(entries):
-            return True
-        j, s = entries[k]
-        for b in range(len(caps)):
-            ns = sums[b] + s
-            if ns <= caps[b]:
-                keep = sums[b]
-                sums[b] = ns
-                assign[j] = b
-                if rec(k + 1):
-                    return True
-                sums[b] = keep
-                del assign[j]
+
+def _packable(sizes: list[int], free: list[int], failed: set[tuple]) -> bool:
+    """Whether entries of the given sizes, largest first, fit bins with room ``free``.
+
+    A depth-first search that places the largest entry first.  Three
+    prunings bound its time; each cuts only states from which no packing
+    exists, so the answer is exact:
+
+    1. Room.  The k largest entries fit only in bins with room for the
+       smallest of them.  Fail when their load exceeds those bins' room,
+       or when there are more of them than the bins can hold (a bin holds
+       as many as the smallest of them whose load fits its room).  With k
+       all entries this is the test that the total load fits at all.
+    2. Equal bins.  Skip a bin whose room equals that of a bin already
+       tried: swapping the two bins turns a packing after one choice into
+       a packing after the other.
+    3. Failed states.  Whether a state packs depends only on the sizes left
+       and the multiset of rooms, so ``failed`` remembers each state that
+       did not, for the length of one ``_pack`` call.  A room smaller than
+       every size left takes nothing and is dropped; a room above the load
+       left takes all of it and is lowered to that load.
+    """
+    if not sizes:
+        return True
+    for k in range(1, len(sizes) + 1):
+        big = sizes[:k]
+        fill = list(accumulate(reversed(big)))  # fill[i]: load of the i + 1 smallest
+        if fill[-1] > sum(r for r in free if r >= big[-1]):
+            return False
+        if k > sum(bisect_right(fill, r) for r in free):
+            return False
+    load = sum(sizes)
+    state = (tuple(sizes), tuple(sorted(min(r, load) for r in free if r >= sizes[-1])))
+    if state in failed:
         return False
+    s, rest = sizes[0], sizes[1:]
+    tried = set()
+    for b, r in enumerate(free):
+        if s <= r and r not in tried:
+            free[b] = r - s
+            ok = _packable(rest, free, failed)
+            free[b] = r
+            if ok:
+                return True
+            tried.add(r)
+    failed.add(state)
+    return False
 
-    return assign if rec(0) else None
 
-
-def _first_fit_decreasing(
-    entries: list[tuple[int, ExtNat]], caps: list[ExtNat]
-) -> dict[int, int] | None:
-    room = [c.value for c in caps]
+def _first_fit(entries: list[tuple[int, float]], caps: list[float]) -> dict[int, int] | None:
+    """Each entry in turn into the first bin with room for it, or None."""
+    room = list(caps)
     assign: dict[int, int] = {}
-    for j, s in sorted(entries, key=lambda e: (-e[1].value, e[0])):
-        b = next((i for i, r in enumerate(room) if s.value <= r), None)
+    for j, s in entries:
+        b = next((i for i, r in enumerate(room) if s <= r), None)
         if b is None:
             return None
-        room[b] -= s.value
+        if room[b] < math.inf:  # an omega bin's room stays infinite
+            room[b] -= s
         assign[j] = b
     return assign
 

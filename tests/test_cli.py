@@ -198,6 +198,14 @@ def test_profile_json(capsys):
     assert doc["pack_p_into_q"] is not None
 
 
+def test_profile_rejects_invalid_cover(monkeypatch):
+    # the independent check of every printed cover is a raise, not an
+    # assert, so it also runs under python -O
+    monkeypatch.setattr("invsemi.cli.cover_is_valid", lambda p, q, cover: False)
+    with pytest.raises(RuntimeError, match="invalid cover"):
+        main(["profile", "[w 1 1]", "[w w 1]", "--format", "json"])
+
+
 def test_profile_budget_exits_3():
     nine = "[" + " ".join(["1"] * 9) + "]"
     assert main(["profile", nine, nine]) == 3

@@ -2,6 +2,9 @@
 packing conditions that decide D and J at the profile level."""
 
 import itertools
+import json
+import pathlib
+import time
 
 import pytest
 
@@ -12,6 +15,7 @@ from invsemi import (
     DimensionError,
     ExtNat,
     FiberProfile,
+    IndexedCover,
     Transformation,
     as_extnat,
     cover_is_valid,
@@ -137,6 +141,111 @@ def test_j_condition_rest_routing():
 def test_j_condition_budget():
     with pytest.raises(BudgetError):
         j_condition(P("[1 1 1 1 1 1 1 1 1]"), P("[1 1 1 1 1 1 1 1 1]"))
+
+
+def _reference_j_condition(p, q):
+    """j_condition as a plain search, without pruning, on ExtNat arithmetic.
+
+    Exactly tight all-finite inputs try first-fit-decreasing first; then
+    entries are placed by index into bins by index, backtracking over every
+    choice.  Exponential, so only for small profiles.
+    """
+    rest_to_rest = False
+    rest_to_block = None
+    if q.rest_ones:
+        if p.rest_ones:
+            rest_to_rest = True
+        else:
+            rest_to_block = next((i for i, s in enumerate(p.sizes) if s.is_omega), None)
+            if rest_to_block is None:
+                return None
+    to_rest = frozenset(j for j, s in enumerate(q.sizes) if p.rest_ones and s == ExtNat(1))
+    entries = [(j, s) for j, s in enumerate(q.sizes) if j not in to_rest]
+    caps = list(p.sizes)
+    assign = {}
+    finite = not any(s.is_omega for _, s in entries) and not any(c.is_omega for c in caps)
+    if finite and sum(s.value for _, s in entries) == sum(c.value for c in caps):
+        room = [c.value for c in caps]
+        for j, s in sorted(entries, key=lambda e: (-e[1].value, e[0])):
+            b = next((i for i, r in enumerate(room) if s.value <= r), None)
+            if b is None:
+                assign = {}
+                break
+            room[b] -= s.value
+            assign[j] = b
+    if len(assign) < len(entries):
+        sums = [ExtNat(0)] * len(caps)
+
+        def rec(k):
+            if k == len(entries):
+                return True
+            j, s = entries[k]
+            for b in range(len(caps)):
+                if sums[b] + s <= caps[b]:
+                    keep, sums[b], assign[j] = sums[b], sums[b] + s, b
+                    if rec(k + 1):
+                        return True
+                    sums[b] = keep
+            return False
+
+        if not rec(0):
+            return None
+    blocks = tuple(frozenset(j for j, b in assign.items() if b == i) for i in range(len(caps)))
+    return IndexedCover(blocks, to_rest, rest_to_rest, rest_to_block)
+
+
+def _profiles(alphabet, max_len):
+    for k in range(1, max_len + 1):
+        for sizes in itertools.product(alphabet, repeat=k):
+            for tail in ("", "+rest1"):
+                yield P("[" + " ".join(sizes) + "]" + tail)
+
+
+def test_j_condition_matches_reference_search():
+    # every ordered pair over {1, 2, 3, w} with 1-3 indices, with and
+    # without a rest tail: 168 profiles, 28,224 pairs
+    pool = list(_profiles("123w", 3))
+    for p, q in itertools.product(pool, repeat=2):
+        cov = j_condition(p, q)
+        assert cov == _reference_j_condition(p, q), (str(p), str(q))
+        assert cov is None or cover_is_valid(p, q, cov)
+
+
+def _cover_doc(cov):
+    if cov is None:
+        return None
+    return {
+        "blocks": [sorted(b) for b in cov.blocks],
+        "to_rest": sorted(cov.to_rest),
+        "rest_to_rest": cov.rest_to_rest,
+        "rest_to_block": cov.rest_to_block,
+    }
+
+
+def test_j_condition_matches_recorded_covers():
+    # Covers recorded, both ways, with the unpruned search: fifteen
+    # near-tight infeasible pairs, the two slowest pairs known for it (about
+    # 4 s and 27 s), and 300 seeded pairs of 4-8 indices.
+    recorded = json.loads((pathlib.Path(__file__).parent / "data" / "packing_covers.json").read_text())
+    assert len(recorded) == 317
+    for e in recorded:
+        p, q = P(e["p"]), P(e["q"])
+        assert _cover_doc(j_condition(p, q)) == e["pack_q_into_p"], (e["p"], e["q"])
+        assert _cover_doc(j_condition(q, p)) == e["pack_p_into_q"], (e["q"], e["p"])
+
+
+def test_j_condition_slow_pairs_bounded_time():
+    # infeasible with room to spare: the unpruned search took about 4 s and
+    # 27 s on these; the bound is loose so a slow host cannot flake it
+    pairs = [
+        (P("[3 3 3 3 3 3 3 3]"), P("[1 2 2 2 2 2 2 4]")),
+        (P("[2 2 2 2 2 2 2 2]"), P("[1 1 1 1 1 1 1 3]")),
+    ]
+    start = time.perf_counter()
+    for p, q in pairs:
+        assert j_condition(p, q) is None
+        assert j_condition(q, p) is None
+    assert time.perf_counter() - start < 1.0
 
 
 def test_d_implies_j_at_profile_level():
