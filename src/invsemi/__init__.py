@@ -22,7 +22,6 @@ from .core import (
     kernel_partition,
     parse_transformation,
     parse_y,
-    partitions_equal,
     refines,
     restrict_to_y,
     transformation_from_json,
@@ -65,7 +64,6 @@ from .semigroup import (
     eggbox_json,
     eggbox_text,
     enumerate_family,
-    green_oracle,
     green_related,
     h_related,
     j_below_holds,

@@ -11,6 +11,10 @@ singles out four nested families of maps, from the loosest to the tightest:
 
 On a finite ambient set, sbar and omegabar coincide; both flags are still
 computed independently so the coincidence can be checked, not assumed.
+
+There is one product, ``product``, on raw image tuples.  The definitional
+searches multiply tuples with it and build a Transformation only for what
+they return; ``compose`` is its dimension-checked, validating wrapper.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ class Transformation:
         if n == 0:
             raise DomainError("transformation needs a nonempty domain")
         for v in imgs:
-            if not isinstance(v, int) or not 0 <= v < n:
+            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
                 raise DomainError(f"image value {v!r} outside 0..{n - 1}")
 
     @property
@@ -77,14 +81,14 @@ class Context:
     y_set: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
+        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
             raise DomainError(f"ambient size must be a positive int, got {self.n!r}")
         ys = tuple(sorted(set(self.y_set)))
         object.__setattr__(self, "y_set", ys)
         if not ys:
             raise DomainError("Y must be nonempty")
         for y in ys:
-            if not isinstance(y, int) or not 0 <= y < self.n:
+            if not isinstance(y, int) or isinstance(y, bool) or not 0 <= y < self.n:
                 raise DomainError(f"Y element {y!r} outside 0..{self.n - 1}")
 
     @property
@@ -141,13 +145,22 @@ class KernelPartition:
         return frozenset(self.blocks)
 
 
+def product(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Left-to-right product of image tuples of equal length: x (a b) = b[a[x]].
+
+    Nothing is checked.  This is the one place that honours ``_MUTATION``, so
+    a flipped composition flips every product, searches and ``compose`` alike.
+    """
+    if _MUTATION == "flip-compose":
+        return tuple([a[v] for v in b])
+    return tuple([b[v] for v in a])
+
+
 def compose(f: Transformation, g: Transformation) -> Transformation:
-    """Left-to-right product: x (f g) = (x f) g."""
+    """Left-to-right product: x (f g) = (x f) g, dimension-checked and validated."""
     if f.n != g.n:
         raise DimensionError(f"cannot compose maps on {f.n} and {g.n} points")
-    if _MUTATION == "flip-compose":
-        return Transformation(tuple(f.images[v] for v in g.images))
-    return Transformation(tuple(g.images[v] for v in f.images))
+    return Transformation(product(f.images, g.images))
 
 
 def classify(ctx: Context, f: Transformation) -> MembershipFlags:
@@ -191,15 +204,23 @@ def restrict_to_y(ctx: Context, f: Transformation) -> Transformation:
     return Transformation(tuple(out))
 
 
+def fibers(f: Transformation) -> dict[int, list[int]]:
+    """Each image point of f mapped to its ascending preimages.
+
+    Keys come in order of their least preimage, as the points are visited.
+    """
+    out: dict[int, list[int]] = {}
+    for x, v in enumerate(f.images):
+        out.setdefault(v, []).append(x)
+    return out
+
+
 def kernel_partition(f: Transformation) -> KernelPartition:
     """The partition of the domain into fibers of f."""
-    by_image: dict[int, list[int]] = {}
-    for x, v in enumerate(f.images):
-        by_image.setdefault(v, []).append(x)
-    pairs = sorted(((frozenset(xs), v) for v, xs in by_image.items()), key=lambda p: min(p[0]))
+    by_image = fibers(f)  # already in order of least element
     return KernelPartition(
-        blocks=tuple(b for b, _ in pairs),
-        block_images=tuple(v for _, v in pairs),
+        blocks=tuple(frozenset(xs) for xs in by_image.values()),
+        block_images=tuple(by_image),
     )
 
 
@@ -231,14 +252,6 @@ def refines(
 ) -> bool:
     """True when every block of ``finer`` sits inside some block of ``coarser``."""
     return all(any(a <= b for b in coarser) for a in finer)
-
-
-def partitions_equal(
-    a: tuple[frozenset[int], ...] | list[frozenset[int]],
-    b: tuple[frozenset[int], ...] | list[frozenset[int]],
-) -> bool:
-    """Mutual refinement; for collections of disjoint blocks this is set equality."""
-    return refines(a, b) and refines(b, a)
 
 
 # --- text and JSON forms ---------------------------------------------------
@@ -274,8 +287,11 @@ def transformation_from_json(obj: dict | str) -> Transformation:
         raise ValueError("expected an object with an 'images' field")
     imgs = tuple(obj["images"])
     f = Transformation(imgs)
-    if "n" in obj and obj["n"] != f.n:
-        raise DimensionError(f"declared n={obj['n']} but {len(imgs)} images given")
+    n = obj.get("n", f.n)
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise DomainError(f"declared n must be an int, got {n!r}")
+    if n != f.n:
+        raise DimensionError(f"declared n={n} but {len(imgs)} images given")
     return f
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Context, Transformation, classify, compose, identity, image_deficit
+from .core import Context, Transformation, classify, identity, image_deficit, product
 from .errors import DomainError
 from .extnat import ExtNat, as_extnat, n_value, profile_of
 from .semigroup import enumerate_family, j_below_holds
@@ -67,16 +67,12 @@ def is_ideal(ctx: Context, subset) -> bool:
 
     That is the two-sided definition (h f h2 inside for all h, h2) because
     the family is a monoid: h f h2 = (h f) h2, and h2 = 1 or h = 1 gives
-    back h f and f h.
+    back h f and f h.  The products are taken on image tuples.
     """
-    fs = _checked_subset(ctx, subset)
-    inside = {f.images for f in fs}
-    elems = enumerate_family(ctx, "omegabar").elements
-    return all(
-        compose(h, f).images in inside and compose(f, h).images in inside
-        for f in fs
-        for h in elems
-    )
+    fs = [f.images for f in _checked_subset(ctx, subset)]
+    inside = set(fs)
+    elems = [h.images for h in enumerate_family(ctx, "omegabar").elements]
+    return all(product(h, f) in inside and product(f, h) in inside for f in fs for h in elems)
 
 
 def j_classes(ctx: Context) -> tuple[tuple[Transformation, ...], ...]:

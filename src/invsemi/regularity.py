@@ -7,14 +7,15 @@ exactly bijectivity on Y (automatic over a finite Y), and unit-regularity is
 witnessed by a transversal of ker(f) that contains Y.  The report's
 witnesses are built from that transversal, not searched for; the searches
 (pre_inverses, is_regular_oracle) stay separate so the verify battery can
-compare the two.
+compare the two.  They multiply image tuples and build a Transformation only
+for what they return.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Context, Transformation, classify, compose
+from .core import Context, Transformation, classify, compose, fibers, product
 from .errors import DomainError
 from .semigroup import SemigroupEnum, enumerate_family
 
@@ -33,6 +34,18 @@ class RegularityReport:
         assert (self.certifying_transversal is not None) == self.is_unit_regular
 
 
+def _pre_inverse_scan(ctx: Context, f: Transformation, family: str, enum: SemigroupEnum | None):
+    """The members g of the family with f g f = f, lazily, in lexicographic order."""
+    if enum is None:
+        enum = enumerate_family(ctx, family)
+    elif enum.ctx != ctx or enum.family != family:
+        raise DomainError("supplied enumeration does not match the requested family")
+    if not getattr(classify(ctx, f), f"in_{enum.family}"):
+        raise DomainError(f"{f} is not in family {enum.family!r} over {ctx}")
+    fi = f.images
+    return (g for g in enum.elements if product(fi, product(g.images, fi)) == fi)
+
+
 def pre_inverses(
     ctx: Context,
     f: Transformation,
@@ -44,20 +57,7 @@ def pre_inverses(
     Pure brute force over the enumerated family; pass ``enum`` to reuse an
     enumeration across many calls.
     """
-    if enum is None:
-        enum = enumerate_family(ctx, family)
-    elif enum.ctx != ctx or (family != enum.family):
-        raise DomainError("supplied enumeration does not match the requested family")
-    flags = classify(ctx, f)
-    member = {
-        "tbar": flags.in_tbar,
-        "omegabar": flags.in_omegabar,
-        "sbar": flags.in_sbar,
-        "fix": flags.in_fix,
-    }[enum.family]
-    if not member:
-        raise DomainError(f"{f} is not in family {enum.family!r} over {ctx}")
-    return tuple(g for g in enum.elements if compose(f, compose(g, f)).images == f.images)
+    return tuple(_pre_inverse_scan(ctx, f, family, enum))
 
 
 def is_regular(ctx: Context, f: Transformation) -> bool:
@@ -68,15 +68,12 @@ def is_regular(ctx: Context, f: Transformation) -> bool:
     return flags.in_sbar
 
 
-def is_regular_oracle(ctx: Context, f: Transformation) -> bool:
-    """Definitional test: some member g satisfies f g f = f."""
-    flags = classify(ctx, f)
-    if not flags.in_omegabar:
-        raise DomainError(f"{f} does not carry Y onto Y in context {ctx}")
-    for g in enumerate_family(ctx, "omegabar").elements:
-        if compose(f, compose(g, f)).images == f.images:
-            return True
-    return False
+def is_regular_oracle(ctx: Context, f: Transformation, enum: SemigroupEnum | None = None) -> bool:
+    """Definitional test: some member g satisfies f g f = f.
+
+    Pass ``enum``, the Y-onto-Y family, to reuse one enumeration across calls.
+    """
+    return next(_pre_inverse_scan(ctx, f, "omegabar", enum), None) is not None
 
 
 def is_unit_regular(ctx: Context, f: Transformation) -> RegularityReport:
@@ -93,21 +90,19 @@ def is_unit_regular(ctx: Context, f: Transformation) -> RegularityReport:
     if not flags.in_omegabar:
         raise DomainError(f"{f} does not carry Y onto Y in context {ctx}")
     yset = ctx.y_frozen
-    fibers: dict[int, list[int]] = {}
-    for x, v in enumerate(f.images):
-        fibers.setdefault(v, []).append(x)  # ascending x, so lists are sorted
-    pick = {v: next((x for x in xs if x in yset), xs[0]) for v, xs in fibers.items()}
+    over = fibers(f)
+    pick = {v: next((x for x in xs if x in yset), xs[0]) for v, xs in over.items()}
     pre = Transformation(tuple(pick.get(v, 0) for v in range(ctx.n)))
 
     unit = []
     used = set(yset)  # only the points of Y map into Y
-    unmatched = {v: len(xs) for v, xs in fibers.items() if v not in yset}  # unused points over v
+    unmatched = {v: len(xs) for v, xs in over.items() if v not in yset}  # unused points over v
     for v in range(ctx.n):
         if v in yset:
             z = pick[v]
         elif v in unmatched:
             del unmatched[v]
-            z = next(x for x in fibers[v] if x not in used)
+            z = next(x for x in over[v] if x not in used)
         else:
             z = next(x for x in range(ctx.n) if x not in used and unmatched.get(f.images[x]) != 1)
         used.add(z)

@@ -6,8 +6,9 @@ kernels and image deficits alone, in time polynomial in n: over a finite Y
 every member is a bijection on Y, so D, J and two-sided divisibility come down
 to comparing image deficits.  The GreenOracle decides the same questions
 straight from the definitions, by exhaustive divisibility search over the
-enumerated semigroup.  They are kept separate on purpose: tests compare them
-and neither side is allowed to peek at the other.
+enumerated semigroup, multiplying raw image tuples.  They are kept separate
+on purpose: tests compare them and neither side is allowed to peek at the
+other.
 """
 
 from __future__ import annotations
@@ -21,10 +22,11 @@ from .core import (
     Transformation,
     classify,
     compose,
+    fibers,
     identity,
     image_deficit,
     kernel_partition,
-    partitions_equal,
+    product,
     refines,
 )
 from .errors import BudgetError, DomainError
@@ -127,14 +129,21 @@ def l_related(ctx: Context, f: Transformation, g: Transformation) -> bool:
     return f.image() == g.image()
 
 
+def _r_key(yset: frozenset[int], f: Transformation) -> tuple[tuple[int, bool], ...]:
+    """For each point, the least point of its fiber and whether that fiber lies over Y.
+
+    Two maps have equal keys exactly when they have the same kernel and the
+    same fibers sitting over Y.
+    """
+    least: dict[int, int] = {}
+    return tuple((least.setdefault(v, x), v in yset) for x, v in enumerate(f.images))
+
+
 def r_related(ctx: Context, f: Transformation, g: Transformation) -> bool:
     """Same kernel, and the same fibers sitting over Y."""
     _require_member(ctx, f)
     _require_member(ctx, g)
-    pf, pg = kernel_partition(f), kernel_partition(g)
-    return partitions_equal(pf.blocks, pg.blocks) and partitions_equal(
-        pf.fibers_over(ctx.y_frozen), pg.fibers_over(ctx.y_frozen)
-    )
+    return _r_key(ctx.y_frozen, f) == _r_key(ctx.y_frozen, g)
 
 
 def h_related(ctx: Context, f: Transformation, g: Transformation) -> bool:
@@ -175,9 +184,7 @@ def l_below_witness(ctx: Context, f: Transformation, g: Transformation) -> Trans
     if not f.image() <= g.image():
         return None
     yset = ctx.y_frozen
-    fiber_g: dict[int, list[int]] = {}
-    for x, v in enumerate(g.images):
-        fiber_g.setdefault(v, []).append(x)  # ascending x, so lists are sorted
+    fiber_g = fibers(g)
     imgs = []
     for x in range(ctx.n):
         target = f.images[x]
@@ -247,12 +254,7 @@ def j_below_witness(
     psi = {y: y for y in ys}
     psi.update(dict(zip(f_off, g_off)))
     psi_back = {c: b for b, c in zip(f_off, g_off)}
-    fiber_f: dict[int, list[int]] = {}
-    for x, v in enumerate(f.images):
-        fiber_f.setdefault(v, []).append(x)
-    fiber_g: dict[int, list[int]] = {}
-    for x, v in enumerate(g.images):
-        fiber_g.setdefault(v, []).append(x)
+    fiber_f, fiber_g = fibers(f), fibers(g)
 
     h_imgs = []
     for x in range(ctx.n):
@@ -310,8 +312,9 @@ class GreenOracle:
     """Green's relations from the definitions, by exhaustive product search.
 
     All left products h*g and right products g*h over the whole enumerated
-    semigroup are computed once and kept as index sets; relation queries are
-    then set lookups (plus one scan over middles for the two-sided cases).
+    semigroup are computed once, on image tuples, and kept as index sets
+    (``_left`` stays None until then); relation queries are then set
+    lookups (plus one scan over middles for the two-sided cases).
     The identity is a member, so plain product sets already contain each
     element itself and no formal unit needs adjoining.
     """
@@ -333,12 +336,9 @@ class GreenOracle:
 
     def _products(self) -> tuple[list[frozenset[int]], list[frozenset[int]]]:
         if self._left is None:
-            elems, index = self.elements, self._index
-            left, right = [], []
-            for g in elems:
-                left.append(frozenset(index[compose(h, g).images] for h in elems))
-                right.append(frozenset(index[compose(g, h).images] for h in elems))
-            self._left, self._right = left, right
+            tuples, index = [f.images for f in self.elements], self._index
+            self._right = [frozenset([index[product(g, h)] for h in tuples]) for g in tuples]
+            self._left = [frozenset([index[product(h, g)] for h in tuples]) for g in tuples]
         return self._left, self._right
 
     def l_below(self, f: Transformation, g: Transformation) -> bool:
@@ -384,10 +384,6 @@ class GreenOracle:
         return getattr(self, f"{rel.lower()}_related")(f, g)
 
 
-def green_oracle(ctx: Context, budget: int = DEFAULT_ORACLE_BUDGET) -> GreenOracle:
-    return GreenOracle(ctx, budget=budget)
-
-
 # --- egg-box structure --------------------------------------------------------
 
 
@@ -419,40 +415,30 @@ class EggBox:
 
 
 def eggbox(ctx: Context) -> EggBox:
-    """Group the family into D-classes and lay each out as an R-by-L grid."""
-    elems = enumerate_family(ctx, "omegabar").elements
+    """Group the family into D-classes and lay each out as an R-by-L grid.
+
+    One pass puts each member into its (deficit, R key, L key) cell, with the
+    keys r_related and l_related compare.  Members come in lexicographic
+    order, so rows and columns appear in order of their least member and
+    every cell is already sorted.
+    """
     yset = ctx.y_frozen
-
-    def r_key(f: Transformation):
-        part = kernel_partition(f)
-        blocks = tuple(tuple(sorted(b)) for b in part.blocks)
-        over_y = tuple(tuple(sorted(b)) for b in part.fibers_over(yset))
-        return blocks, over_y
-
-    def l_key(f: Transformation):
-        return tuple(sorted(f.image()))
-
-    by_d: dict[int, list[Transformation]] = {}
-    for f in elems:
-        by_d.setdefault(image_deficit(ctx, f), []).append(f)
+    by_d: dict[int, dict[tuple, list[Transformation]]] = {}
+    for f in enumerate_family(ctx, "omegabar").elements:
+        cell_key = (_r_key(yset, f), f.image())
+        by_d.setdefault(image_deficit(ctx, f), {}).setdefault(cell_key, []).append(f)
 
     grids: list[DClassGrid] = []
     for deficit in sorted(by_d, reverse=True):
-        members = by_d[deficit]
-        rows: dict[tuple, list[Transformation]] = {}
-        cols: dict[tuple, list[Transformation]] = {}
-        for f in members:
-            rows.setdefault(r_key(f), []).append(f)
-            cols.setdefault(l_key(f), []).append(f)
-        row_order = sorted(rows, key=lambda k: min(f.images for f in rows[k]))
-        col_order = sorted(cols, key=lambda k: min(f.images for f in cols[k]))
+        by_cell = by_d[deficit]
+        cols = dict.fromkeys(lk for _, lk in by_cell)
         cells = []
-        for rk in row_order:
+        for rk in dict.fromkeys(rk for rk, _ in by_cell):
             row_cells = []
-            for ck in col_order:
-                cell = tuple(sorted((f for f in rows[rk] if l_key(f) == ck), key=lambda f: f.images))
+            for lk in cols:
+                cell = tuple(by_cell.get((rk, lk), ()))
                 assert cell, "every R-by-L intersection inside a D-class is nonempty"
-                idem = any(compose(e, e).images == e.images for e in cell)
+                idem = any(product(e.images, e.images) == e.images for e in cell)
                 row_cells.append(HCell(elements=cell, has_idempotent=idem))
             cells.append(tuple(row_cells))
         grids.append(DClassGrid(deficit=deficit, cells=tuple(cells)))

@@ -25,10 +25,10 @@ from invsemi.extnat import d_condition, j_condition
 from invsemi.ideals import ideals_all, is_ideal, j_of_f, kernel
 from invsemi.regularity import is_unit_regular, regular_elements
 from invsemi.semigroup import (
+    GreenOracle,
     d_related,
     eggbox,
     enumerate_family,
-    green_oracle,
     green_related,
     j_below_witness,
     j_related,
@@ -107,7 +107,7 @@ def test_criterion_04_green_agreement():
     t0 = time.monotonic()
     rels = ("L", "R", "H", "D", "J")
     for ctx in all_contexts(4):
-        oracle = green_oracle(ctx)
+        oracle = GreenOracle(ctx)
         elems = enumerate_family(ctx).elements
         for f, g in itertools.product(elems, repeat=2):
             for rel in rels:
@@ -118,7 +118,7 @@ def test_criterion_04_green_agreement():
     pairs_checked = 0
     for ys in ((0,), (0, 1)):
         ctx = Context(5, ys)
-        oracle = green_oracle(ctx)
+        oracle = GreenOracle(ctx)
         elems = enumerate_family(ctx).elements
         rng = random.Random(f"acceptance-green-{ys}")
         for _ in range(512):
@@ -163,12 +163,12 @@ def _witness_pair_check(ctx, oracle, f, g):
 def test_criterion_06_witness_soundness():
     t0 = time.monotonic()
     for ctx in all_contexts(3):
-        oracle = green_oracle(ctx)
+        oracle = GreenOracle(ctx)
         elems = enumerate_family(ctx).elements
         for f, g in itertools.product(elems, repeat=2):
             _witness_pair_check(ctx, oracle, f, g)
     for ctx in (c for c in all_contexts(4) if c.n == 4):
-        oracle = green_oracle(ctx)
+        oracle = GreenOracle(ctx)
         elems = enumerate_family(ctx).elements
         rng = random.Random(f"acceptance-witness-{ctx.y_set}")
         for _ in range(300):

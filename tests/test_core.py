@@ -7,6 +7,7 @@ import pytest
 
 from invsemi import (
     Context,
+    DimensionError,
     DomainError,
     Transformation,
     classify,
@@ -16,13 +17,14 @@ from invsemi import (
     kernel_partition,
     parse_transformation,
     parse_y,
-    partitions_equal,
     refines,
     restrict_to_y,
     transformation_from_json,
     transformation_to_json,
     transversals,
 )
+from invsemi import core
+from invsemi.core import fibers, product
 
 T = parse_transformation
 C31 = Context(3, (0, 1))
@@ -36,6 +38,8 @@ def test_transformation_validation():
         Transformation((0, -1))
     with pytest.raises(DomainError):
         Transformation(())
+    with pytest.raises(DomainError):
+        Transformation((True, False))  # bools are not points
 
 
 def test_context_validation():
@@ -47,6 +51,10 @@ def test_context_validation():
         Context(3, (3,))
     with pytest.raises(DomainError):
         Context(0, (0,))
+    with pytest.raises(DomainError):
+        Context(2, (True,))
+    with pytest.raises(DomainError):
+        Context(True, (0,))
 
 
 def test_compose_left_to_right():
@@ -59,10 +67,27 @@ def test_compose_left_to_right():
 
 
 def test_compose_dimension_mismatch():
-    from invsemi import DimensionError
-
     with pytest.raises(DimensionError):
         compose(T("[0 1]"), T("[0 1 2]"))
+
+
+def test_product_equals_compose_n_le_3():
+    for n in (1, 2, 3):
+        maps = [Transformation(imgs) for imgs in itertools.product(range(n), repeat=n)]
+        for f, g in itertools.product(maps, repeat=2):
+            assert product(f.images, g.images) == compose(f, g).images
+
+
+def test_product_flips_under_mutation():
+    a, b = (1, 0, 2), (0, 1, 0)
+    assert product(a, b) == (1, 0, 0)
+    core._set_mutation("flip-compose")
+    try:
+        assert product(a, b) == (1, 0, 1)  # x (a b) = a[b[x]]
+        assert compose(T("[1 0 2]"), T("[0 1 0]")).images == (1, 0, 1)
+    finally:
+        core._set_mutation(None)
+    assert product(a, b) == (1, 0, 0)
 
 
 def test_classify_flags():
@@ -110,6 +135,10 @@ def test_kernel_partition():
     # sub-collection of fibers over the points of Xf inside the query set
     kp = kernel_partition(T("[1 0 1]"))
     assert set(kp.fibers_over({0, 1})) == {frozenset({1}), frozenset({0, 2})}
+    # blocks come in order of least element, each with its image point
+    assert kp.blocks == (frozenset({0, 2}), frozenset({1}))
+    assert kp.block_images == (1, 0)
+    assert list(fibers(T("[2 0 2 1]")).items()) == [(2, [0, 2]), (0, [1]), (1, [3])]
 
 
 def test_transversals_frozen():
@@ -139,10 +168,12 @@ def test_injective_iff_surjective_finite():
 def test_refines():
     assert refines([{0}, {2}], [{0, 2}, {1}])
     assert not refines([{0, 1}], [{0}, {1}])
-    for imgs in itertools.product(range(3), repeat=3):
-        blocks = kernel_partition(Transformation(imgs)).block_sets()
+    kernels = [kernel_partition(Transformation(imgs)).block_sets() for imgs in itertools.product(range(3), repeat=3)]
+    for blocks in kernels:
         assert refines(blocks, blocks)
-        assert partitions_equal(blocks, blocks)
+    # on partitions, mutual refinement is plain equality
+    for a, b in itertools.product(kernels, repeat=2):
+        assert (refines(a, b) and refines(b, a)) == (a == b)
 
 
 def test_parse_format_roundtrip():
@@ -162,6 +193,12 @@ def test_json_mirror():
     assert obj == {"n": 3, "images": [1, 0, 0]}
     assert transformation_from_json(obj).images == f.images
     assert transformation_from_json('{"n": 3, "images": [1, 0, 0]}').images == f.images
+    with pytest.raises(DomainError):
+        transformation_from_json('{"images": [true, false]}')
+    with pytest.raises(DomainError):
+        transformation_from_json('{"n": true, "images": [0]}')
+    with pytest.raises(DimensionError):
+        transformation_from_json('{"n": 2, "images": [0]}')
 
 
 def test_parse_y():

@@ -53,6 +53,10 @@ def test_unit_pre_inverse_contains_inverse():
 def test_pre_inverses_rejects_nonmember():
     with pytest.raises(DomainError):
         pre_inverses(C31, T("[0 0 2]"))
+    with pytest.raises(DomainError):
+        is_regular_oracle(C31, T("[0 0 2]"))
+    with pytest.raises(DomainError):  # an enumeration of another family
+        is_regular_oracle(C31, T("[0 1 0]"), enumerate_family(C31, "tbar"))
 
 
 def test_is_regular_frozen():
@@ -65,9 +69,11 @@ def test_everything_regular_at_finite_n():
     for n in (1, 2, 3, 4):
         for r in range(1, n + 1):
             ctx = Context(n, tuple(range(r)))
-            for f in enumerate_family(ctx):
+            enum = enumerate_family(ctx)
+            for f in enum:
                 assert is_regular(ctx, f)
                 assert is_regular_oracle(ctx, f)
+                assert is_regular_oracle(ctx, f, enum)
 
 
 def test_regular_set_is_the_injective_on_y_set():

@@ -1,7 +1,10 @@
 """Family enumeration, units, Green's relations, witnesses, egg-box."""
 
+import hashlib
 import itertools
+import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -16,13 +19,14 @@ from invsemi import (
 )
 from invsemi.semigroup import (
     FAMILIES,
+    GreenOracle,
     d_middle_witness,
     d_related,
     eggbox,
     eggbox_dot,
+    eggbox_json,
     eggbox_text,
     enumerate_family,
-    green_oracle,
     green_related,
     h_related,
     j_below_witness,
@@ -130,7 +134,7 @@ def test_green_related_dispatch():
 def test_characterizations_match_oracle_exhaustive_n3():
     for ys in ((0,), (0, 1), (0, 1, 2)):
         ctx = Context(3, ys)
-        oracle = green_oracle(ctx)
+        oracle = GreenOracle(ctx)
         elems = enumerate_family(ctx).elements
         for f, g in itertools.product(elems, repeat=2):
             for rel in ("L", "R", "H", "D", "J"):
@@ -218,7 +222,7 @@ def test_d_middle_witness_is_first_oracle_middle():
         for r in range(1, n + 1):
             for ys in itertools.combinations(range(n), r):
                 ctx = Context(n, ys)
-                oracle = green_oracle(ctx)
+                oracle = GreenOracle(ctx)
                 elems = enumerate_family(ctx).elements
                 for f, g in itertools.product(elems, repeat=2):
                     assert d_middle_witness(ctx, f, g) == oracle.d_middle(f, g), (ctx, f, g)
@@ -237,7 +241,7 @@ def test_witness_membership():
 
 def test_oracle_budget():
     with pytest.raises(BudgetError):
-        green_oracle(Context(6, (0,)), budget=5)
+        GreenOracle(Context(6, (0,)), budget=5)
 
 
 def test_eggbox_structure_frozen():
@@ -270,6 +274,23 @@ def test_eggbox_partitions_family():
         assert total == len(enumerate_family(ctx))
         deficits = [grid.deficit for grid in box.d_classes]
         assert deficits == sorted(deficits, reverse=True)
+
+
+def test_eggbox_outputs_match_recorded_digests():
+    # SHA-256 of the text, JSON and DOT forms for every context with n <= 5,
+    # and n = 6 with |Y| <= 2, recorded from the per-row, per-column layout
+    # that the one-pass grouping replaced
+    recorded = json.loads((Path(__file__).parent / "data" / "eggbox_sha256.json").read_text())
+    assert len(recorded) == 57 + 21  # 2^n - 1 subsets Y for n = 1..5, then 6 + 15 at n = 6
+    for row in recorded:
+        box = eggbox(Context(row["n"], tuple(row["y"])))
+        got = {
+            "text": eggbox_text(box),
+            "json": json.dumps(eggbox_json(box), indent=2),
+            "dot": eggbox_dot(box),
+        }
+        for form, text in got.items():
+            assert hashlib.sha256(text.encode()).hexdigest() == row[form], (row["n"], row["y"], form)
 
 
 def test_idempotent_cells_are_groups():
