@@ -5,10 +5,12 @@ predicates (l_related and friends) and the witness builders work from images,
 kernels and image deficits alone, in time polynomial in n: over a finite Y
 every member is a bijection on Y, so D, J and two-sided divisibility come down
 to comparing image deficits.  The GreenOracle decides the same questions
-straight from the definitions, by exhaustive divisibility search over the
-enumerated semigroup, multiplying raw image tuples.  They are kept separate
-on purpose: tests compare them and neither side is allowed to peek at the
-other.
+straight from the definitions, on the left and right Cayley graphs of a
+generating set of the enumerated semigroup (the method of Froidure and Pin,
+1997): one-sided divisibility is reachability, and the classes are strongly
+connected components.  Its products are taken on raw image tuples.  The two
+flavors are kept separate on purpose: tests compare them and neither side is
+allowed to peek at the other.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ FAMILIES = ("tbar", "omegabar", "sbar", "fix")
 RELATIONS = ("L", "R", "H", "D", "J")
 
 DEFAULT_ENUM_BUDGET = 6
-DEFAULT_ORACLE_BUDGET = 5
+DEFAULT_ORACLE_BUDGET = 6
 BUDGET_ENV = "INVSEMI_BUDGET"
 
 
@@ -308,15 +310,90 @@ def d_middle_witness(ctx: Context, f: Transformation, g: Transformation) -> Tran
 # --- definitional oracle ------------------------------------------------------
 
 
-class GreenOracle:
-    """Green's relations from the definitions, by exhaustive product search.
+def _greedy_generators(tuples: list[tuple[int, ...]], index: dict) -> tuple[list[int], list[list[int]]]:
+    """A generating set of the family and its right Cayley graph, as member indices.
 
-    All left products h*g and right products g*h over the whole enumerated
-    semigroup are computed once, on image tuples, and kept as index sets
-    (``_left`` stays None until then); relation queries are then set
-    lookups (plus one scan over middles for the two-sided cases).
-    The identity is a member, so plain product sets already contain each
-    element itself and no formal unit needs adjoining.
+    Members are walked by descending image size, then in index order; each one
+    not yet in the closure becomes a generator, and every member of the closure
+    is multiplied on the right by every generator once: ``right[v]`` lists v
+    times each generator.  A product outside the family raises KeyError.
+    """
+    m = len(tuples)
+    gens, right, seen, closure = [], [[] for _ in range(m)], bytearray(m), []
+    for g in sorted(range(m), key=lambda i: (-len(set(tuples[i])), i)):
+        if seen[g]:
+            continue
+        gens.append(g)
+        seen[g] = 1
+        closure.append(g)
+        for v in closure:  # grows while it is walked
+            row, x = right[v], tuples[v]
+            for a in gens[len(row) :]:
+                w = index[product(x, tuples[a])]
+                row.append(w)
+                if not seen[w]:
+                    seen[w] = 1
+                    closure.append(w)
+    return gens, right
+
+
+def _components(succ: list[list[int]]) -> tuple[list[int], list[int]]:
+    """Strongly connected components of the graph v -> succ[v], and reachability.
+
+    Iterative Tarjan.  Components are numbered in the order they close, so no
+    edge leads to a higher number; ``reach[c]`` is the bitmask of the
+    components reachable from component c, c itself included.
+    """
+    m = len(succ)
+    order, low, comp = [0] * m, [0] * m, [-1] * m  # order 0: not visited yet
+    stack, groups, count = [], [], 0
+    for root in range(m):
+        if order[root]:
+            continue
+        count += 1
+        order[root] = low[root] = count
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, edges = work[-1]
+            for w in edges:
+                if not order[w]:
+                    count += 1
+                    order[w] = low[w] = count
+                    stack.append(w)
+                    work.append((w, iter(succ[w])))
+                    break
+                if comp[w] < 0 and order[w] < low[v]:  # w is still on the stack
+                    low[v] = order[w]
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == order[v]:
+                    group = []
+                    while not group or group[-1] != v:
+                        group.append(stack.pop())
+                        comp[group[-1]] = len(groups)
+                    groups.append(group)
+    reach: list[int] = []
+    for c, group in enumerate(groups):
+        mask = 1 << c
+        for d in {comp[w] for v in group for w in succ[v]} - {c}:
+            mask |= reach[d]
+        reach.append(mask)
+    return comp, reach
+
+
+class GreenOracle:
+    """Green's relations from the definitions, on the Cayley graphs of the family.
+
+    On first use (``_products``; ``_left`` stays None until then) a greedy
+    generating set is taken; a product outside the family is an error.  The
+    family is a monoid generated by that set, so f <=_R g (f = g h for a
+    member h) is reachability from g in the right Cayley graph (x -> x a per
+    generator a), f <=_L g in the left one (x -> a x) and f <=_J g in their
+    union.  L, R and J are the strongly connected components; the middle of
+    D is the first member of L(f) and R(g).
     """
 
     def __init__(self, ctx: Context, budget: int = DEFAULT_ORACLE_BUDGET):
@@ -325,8 +402,10 @@ class GreenOracle:
         self.ctx = ctx
         self.elements = enumerate_family(ctx, "omegabar").elements
         self._index = {f.images: i for i, f in enumerate(self.elements)}
-        self._left: list[frozenset[int]] | None = None
-        self._right: list[frozenset[int]] | None = None
+        # per graph (left, right, union): the component of each member, and reach
+        self._left = self._right = self._two = None
+        self._middles: dict[tuple[int, int], int] = {}
+        self._generators: tuple[Transformation, ...] = ()
 
     def _id(self, f: Transformation) -> int:
         try:
@@ -334,49 +413,66 @@ class GreenOracle:
         except KeyError:
             raise DomainError(f"{f} is not a member over {self.ctx}") from None
 
-    def _products(self) -> tuple[list[frozenset[int]], list[frozenset[int]]]:
+    def _products(self) -> tuple[tuple[list[int], list[int]], ...]:
+        """The left, right and union graphs' (components, reach), built on the first call."""
         if self._left is None:
             tuples, index = [f.images for f in self.elements], self._index
-            self._right = [frozenset([index[product(g, h)] for h in tuples]) for g in tuples]
-            self._left = [frozenset([index[product(h, g)] for h in tuples]) for g in tuples]
-        return self._left, self._right
+            try:
+                gens, right = _greedy_generators(tuples, index)
+                left = [[index[product(tuples[a], x)] for a in gens] for x in tuples]
+            except KeyError as e:
+                raise RuntimeError(f"product {Transformation(e.args[0])} leaves the family over {self.ctx}") from None
+            graphs = _components(left), _components(right)
+            for w, key in enumerate(zip(graphs[0][0], graphs[1][0])):
+                self._middles.setdefault(key, w)
+            self._generators = tuple(self.elements[a] for a in gens)
+            self._two = _components([lx + rx for lx, rx in zip(left, right)])
+            self._left, self._right = graphs
+        return self._left, self._right, self._two
+
+    @property
+    def generators(self) -> tuple[Transformation, ...]:
+        """The greedy generating set; the family is the closure of it under products."""
+        self._products()
+        return self._generators
+
+    def _below(self, graph: int, f: Transformation, g: Transformation) -> bool:
+        comp, reach = self._products()[graph]
+        return bool(reach[comp[self._id(g)]] >> comp[self._id(f)] & 1)
+
+    def _same(self, graph: int, f: Transformation, g: Transformation) -> bool:
+        comp = self._products()[graph][0]
+        return comp[self._id(f)] == comp[self._id(g)]
 
     def l_below(self, f: Transformation, g: Transformation) -> bool:
-        left, _ = self._products()
-        return self._id(f) in left[self._id(g)]
+        return self._below(0, f, g)
 
     def r_below(self, f: Transformation, g: Transformation) -> bool:
-        _, right = self._products()
-        return self._id(f) in right[self._id(g)]
+        return self._below(1, f, g)
 
     def j_below(self, f: Transformation, g: Transformation) -> bool:
-        left, right = self._products()
-        fi = self._id(f)
-        return any(fi in right[c] for c in left[self._id(g)])
+        return self._below(2, f, g)
 
     def l_related(self, f: Transformation, g: Transformation) -> bool:
-        return self.l_below(f, g) and self.l_below(g, f)
+        return self._same(0, f, g)
 
     def r_related(self, f: Transformation, g: Transformation) -> bool:
-        return self.r_below(f, g) and self.r_below(g, f)
+        return self._same(1, f, g)
 
     def h_related(self, f: Transformation, g: Transformation) -> bool:
         return self.l_related(f, g) and self.r_related(f, g)
 
     def d_middle(self, f: Transformation, g: Transformation) -> Transformation | None:
         """The first member w with f L w and w R g, or None."""
-        left, right = self._products()
-        fi, gi = self._id(f), self._id(g)
-        for w in range(len(self.elements)):
-            if fi in left[w] and w in left[fi] and w in right[gi] and gi in right[w]:
-                return self.elements[w]
-        return None
+        left, right, _ = self._products()
+        w = self._middles.get((left[0][self._id(f)], right[0][self._id(g)]))
+        return None if w is None else self.elements[w]
 
     def d_related(self, f: Transformation, g: Transformation) -> bool:
         return self.d_middle(f, g) is not None
 
     def j_related(self, f: Transformation, g: Transformation) -> bool:
-        return self.j_below(f, g) and self.j_below(g, f)
+        return self._same(2, f, g)
 
     def related(self, rel: str, f: Transformation, g: Transformation) -> bool:
         if rel not in RELATIONS:

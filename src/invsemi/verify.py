@@ -79,7 +79,6 @@ SAMPLE_TRIPLES = 400
 SAMPLE_WITNESS_PAIRS = 300
 SAMPLE_SUBSETS = 6
 SAMPLE_ELEMENTS = 120
-SAMPLE_ABSORPTIONS = 1500
 EXHAUSTIVE_MAPS_LIMIT = 200_000
 
 
@@ -170,23 +169,9 @@ def _member_iter(data: _CtxData, elems, rng: random.Random, count: int):
     return (f for (f,) in _pair_iter(data, elems, rng, 4, count, arity=1))
 
 
-def _ideal_holds(data: _CtxData, members, rng: random.Random) -> bool:
-    """``is_ideal`` up to n = 4; above, h f and f h on seeded (member f, h) draws.
-
-    The exact test costs 2·|I|·m tuple products per set: about 3.7 s per
-    (5,{0}) context over the 9 sets (2,949 members) the ideal checks ask
-    about at seed 7, measured on a 2-vCPU x86 host with Python 3.11.
-    """
-    if data.ctx.n <= 4:
-        return is_ideal(data.ctx, members)
-    elems = data.enum()
-    inside = {f.images for f in members}
-    for _ in range(SAMPLE_ABSORPTIONS):
-        f = members[rng.randrange(len(members))].images
-        h = elems[rng.randrange(len(elems))].images
-        if product(h, f) not in inside or product(f, h) not in inside:
-            return False
-    return True
+def _ideal_holds(data: _CtxData, members) -> bool:
+    """``is_ideal``, multiplying by the oracle's generators: exact at every n, 2·|I|·|gens| products."""
+    return is_ideal(data.ctx, members, by=data.oracle().generators)
 
 
 # --- context-scoped checks ---------------------------------------------------
@@ -555,11 +540,9 @@ def _check_ideal_down_sets(data: _CtxData, rng: random.Random):
         subset = [elems[i] for i in range(m) if mask >> i & 1]
         down = j_of_f(ctx, subset)
         checked += 1
-        if not _ideal_holds(data, down.members, rng):
+        if not _ideal_holds(data, down.members):
             return checked, _ex(data, subset=[str(f) for f in subset], detail="down-set is not an ideal")
-        # the subset is small (one or two members from n = 4 up), so the
-        # exact test is cheap at every n
-        if is_ideal(ctx, subset) and down.as_set() != {f.images for f in subset}:
+        if _ideal_holds(data, subset) and down.as_set() != {f.images for f in subset}:
             return checked, _ex(data, subset=[str(f) for f in subset], detail="ideal not equal to its down-set")
     return checked, None
 
@@ -582,7 +565,7 @@ def _check_ideal_enumerate(data: _CtxData, rng: random.Random):
             continue
         if j_of_f(ctx, ideal.members).as_set() != ideal.as_set():
             return checked, _ex(data, detail="ideal is not its own down-set")
-        if not _ideal_holds(data, ideal.members, rng):
+        if not _ideal_holds(data, ideal.members):
             return checked, _ex(data, detail="listed ideal fails definitional check")
         checked += 1
     return checked, None
@@ -610,7 +593,7 @@ def _check_ideal_thresholds(data: _CtxData, rng: random.Random):
     if n > k:
         mid = j_st(ctx, k, 0)
         checked += 1
-        if not _ideal_holds(data, mid.members, rng):
+        if not _ideal_holds(data, mid.members):
             return checked, _ex(data, detail="bottom threshold set is not an ideal")
     return checked, None
 

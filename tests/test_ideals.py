@@ -17,7 +17,7 @@ from invsemi import (
 )
 from invsemi.ideals import ideals_all, is_ideal, j_classes, j_of_f, j_st, kernel
 from invsemi.extnat import j_condition
-from invsemi.semigroup import eggbox, enumerate_family
+from invsemi.semigroup import GreenOracle, eggbox, enumerate_family
 
 T = parse_transformation
 C31 = Context(3, (0, 1))
@@ -69,9 +69,12 @@ def test_is_ideal_agrees_with_cubic_definition_n_le_3():
             for ys in itertools.combinations(range(n), r):
                 ctx = Context(n, ys)
                 elems = enumerate_family(ctx).elements
+                gens = GreenOracle(ctx).generators
                 for k in range(1, len(elems) + 1):
                     for subset in itertools.combinations(elems, k):
-                        assert is_ideal(ctx, subset) == _is_ideal_cubic(ctx, subset), (ctx, subset)
+                        want = _is_ideal_cubic(ctx, subset)
+                        assert is_ideal(ctx, subset) == want, (ctx, subset)
+                        assert is_ideal(ctx, subset, by=gens) == want, (ctx, subset, "by generators")
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import math
+import random
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ from invsemi import (
     BudgetError,
     Context,
     DomainError,
+    Transformation,
     classify,
     compose,
     identity,
@@ -242,6 +244,108 @@ def test_witness_membership():
 def test_oracle_budget():
     with pytest.raises(BudgetError):
         GreenOracle(Context(6, (0,)), budget=5)
+    with pytest.raises(BudgetError):
+        GreenOracle(Context(7, (0,)))
+
+
+def test_characterizations_match_oracle_sampled_n6():
+    ctx = Context(6, (0, 1, 2))
+    oracle = GreenOracle(ctx)
+    elems = oracle.elements
+    rng = random.Random(6)
+    for _ in range(2000):
+        f, g = rng.choice(elems), rng.choice(elems)
+        for rel in ("L", "R", "H", "D", "J"):
+            assert green_related(ctx, rel, f, g) == oracle.related(rel, f, g), (rel, f, g)
+
+
+class _TableOracle:
+    """Reference: the oracle as m^2 product tables, one index set per member and side."""
+
+    def __init__(self, ctx):
+        self.elements = enumerate_family(ctx).elements
+        tuples = [f.images for f in self.elements]
+        self._index = index = {t: i for i, t in enumerate(tuples)}
+        self._right = [frozenset(index[compose(g, h).images] for h in self.elements) for g in self.elements]
+        self._left = [frozenset(index[compose(h, g).images] for h in self.elements) for g in self.elements]
+
+    def l_below(self, f, g):
+        return self._index[f.images] in self._left[self._index[g.images]]
+
+    def r_below(self, f, g):
+        return self._index[f.images] in self._right[self._index[g.images]]
+
+    def j_below(self, f, g):
+        fi = self._index[f.images]
+        return any(fi in self._right[c] for c in self._left[self._index[g.images]])
+
+    def l_related(self, f, g):
+        return self.l_below(f, g) and self.l_below(g, f)
+
+    def r_related(self, f, g):
+        return self.r_below(f, g) and self.r_below(g, f)
+
+    def h_related(self, f, g):
+        return self.l_related(f, g) and self.r_related(f, g)
+
+    def d_middle(self, f, g):
+        left, right = self._left, self._right
+        fi, gi = self._index[f.images], self._index[g.images]
+        for w in range(len(self.elements)):
+            if fi in left[w] and w in left[fi] and w in right[gi] and gi in right[w]:
+                return self.elements[w]
+        return None
+
+    def d_related(self, f, g):
+        return self.d_middle(f, g) is not None
+
+    def j_related(self, f, g):
+        return self.j_below(f, g) and self.j_below(g, f)
+
+
+def _all_contexts(max_n):
+    for n in range(1, max_n + 1):
+        for r in range(1, n + 1):
+            for ys in itertools.combinations(range(n), r):
+                yield Context(n, ys)
+
+
+def test_cayley_oracle_matches_table_oracle():
+    # every pair in every context with n <= 4, and at (5,{0,1}): 8 queries,
+    # `related` for each relation, and the first middle
+    methods = ("l_below", "r_below", "j_below", "l_related", "r_related", "h_related", "d_related", "j_related")
+    for ctx in [*_all_contexts(4), Context(5, (0, 1))]:
+        oracle, table = GreenOracle(ctx), _TableOracle(ctx)
+        assert oracle.elements == table.elements
+        for f, g in itertools.product(table.elements, repeat=2):
+            for name in methods:
+                assert getattr(oracle, name)(f, g) == getattr(table, name)(f, g), (ctx, name, f, g)
+            for rel in ("L", "R", "H", "D", "J"):
+                assert oracle.related(rel, f, g) == getattr(table, f"{rel.lower()}_related")(f, g), (ctx, rel, f, g)
+            assert oracle.d_middle(f, g) == table.d_middle(f, g), (ctx, f, g)
+
+
+def test_oracle_generators_close_to_the_family_n_le_5():
+    for ctx in _all_contexts(5):
+        gens = GreenOracle(ctx).generators
+        closure = {g.images for g in gens}
+        frontier = list(closure)
+        while frontier:
+            x = frontier.pop()
+            for a in gens:
+                y = compose(Transformation(x), a).images
+                if y not in closure:
+                    closure.add(y)
+                    frontier.append(y)
+        assert closure == enumerate_family(ctx).as_set(), ctx
+
+
+def test_oracle_rejects_product_outside_family(monkeypatch):
+    import invsemi.semigroup as semigroup
+
+    monkeypatch.setattr(semigroup, "product", lambda a, b: (0,) * len(a))
+    with pytest.raises(RuntimeError, match="leaves the family"):
+        GreenOracle(Context(3, (1,))).l_below(T("[0 1 2]"), T("[0 1 2]"))
 
 
 def test_eggbox_structure_frozen():
