@@ -9,6 +9,7 @@ with the same seed and bounds.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -289,7 +290,13 @@ def _add_ctx_args(sp) -> None:
     sp.add_argument("--y", type=str, required=True, help="distinguished subset, e.g. '0,1'")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and shared by every later one in the process.
+
+    Each ``parse_args`` returns a fresh namespace, so calls share no state; the
+    ``cmd_*`` bodies look the library functions up at call time.
+    """
     parser = argparse.ArgumentParser(
         prog="invsemi",
         description="transformations of a finite set that stabilize a distinguished subset",
@@ -353,8 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except BudgetError as e:

@@ -909,6 +909,8 @@ def pool_size(jobs: int, shards: int) -> int:
 
 def run_verify(cfg: VerifyConfig) -> dict:
     """Run every check and return the report as plain data."""
+    if cfg.max_n < 1:
+        raise ValueError(f"max_n must be at least 1, got {cfg.max_n}")
     _apply_env_mutation()
     ctxs = _contexts(cfg)
     shard_args = [(cfg.seed, n, ys) for n, ys in ctxs]

@@ -8,8 +8,8 @@ import sys
 import pytest
 
 from invsemi import Context, classify, compose, kernel_partition, parse_transformation
-from invsemi.cli import main
-from invsemi.verify import pool_size
+from invsemi.cli import build_parser, main
+from invsemi.verify import VerifyConfig, pool_size, run_verify
 
 
 def run_cli(*argv):
@@ -219,6 +219,31 @@ def test_enum_output_reparses(capsys):
         capsys.readouterr()
 
 
+def test_main_reuses_one_parser(capsys):
+    assert build_parser() is build_parser()
+
+    def out_of(*argv):
+        assert main(list(argv)) == 0
+        return capsys.readouterr().out
+
+    green = ["green", "--n", "3", "--y", "0,1", "--rel", "L", "--f", "[0 1 0]", "--g", "[1 0 0]"]
+    bare = out_of(*green)
+    assert "l_f_below_g=" in out_of(*green, "--witness")
+    assert out_of(*green) == bare
+    assert "below" not in bare
+
+    profile = ["profile", "[w 1 1]", "[w w 1]"]
+    assert out_of(*profile, "--d").splitlines() == ["d=false"]
+    assert out_of(*profile).splitlines() == ["d=false", "j_into_p=true", "j_into_q=true", "j=true"]
+
+    before = out_of(*profile)
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--n", "3", "--y", "0,1"])
+    assert exc.value.code == 2
+    assert "--f" in capsys.readouterr().err
+    assert out_of(*profile) == before
+
+
 def test_usage_error_exits_2():
     r = run_cli("classify", "--n", "3", "--y", "0,1")
     assert r.returncode == 2
@@ -258,6 +283,14 @@ def test_verify_pool_size_is_clamped():
 def test_verify_jobs_below_one_exits_2():
     assert main(["verify", "--max-n", "1", "--jobs", "0"]) == 2
     assert main(["verify", "--max-n", "1", "--jobs", "-3"]) == 2
+
+
+def test_verify_max_n_below_one_exits_2(capsys):
+    assert main(["verify", "--max-n", "0"]) == 2
+    assert main(["verify", "--max-n", "-3"]) == 2
+    assert "max_n must be at least 1" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="max_n"):
+        run_verify(VerifyConfig(max_n=0))
 
 
 def test_verify_mutant_detected():
