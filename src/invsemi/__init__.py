@@ -14,6 +14,7 @@ from .core import (
     KernelPartition,
     MembershipFlags,
     Transformation,
+    carries_y,
     classify,
     compose,
     format_transformation,

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import DimensionError, DomainError
 
@@ -79,6 +79,9 @@ class Context:
 
     n: int
     y_set: tuple[int, ...]
+    # set once, from y_set, in __post_init__
+    y_frozen: frozenset[int] = field(init=False, repr=False, compare=False)
+    x_minus_y: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
@@ -90,15 +93,8 @@ class Context:
         for y in ys:
             if not isinstance(y, int) or isinstance(y, bool) or not 0 <= y < self.n:
                 raise DomainError(f"Y element {y!r} outside 0..{self.n - 1}")
-
-    @property
-    def y_frozen(self) -> frozenset[int]:
-        return frozenset(self.y_set)
-
-    @property
-    def x_minus_y(self) -> tuple[int, ...]:
-        ys = set(self.y_set)
-        return tuple(x for x in range(self.n) if x not in ys)
+        object.__setattr__(self, "y_frozen", frozenset(ys))
+        object.__setattr__(self, "x_minus_y", tuple(x for x in range(self.n) if x not in self.y_frozen))
 
     def __str__(self) -> str:
         return f"n={self.n} Y={{{','.join(map(str, self.y_set))}}}"
@@ -163,17 +159,22 @@ def compose(f: Transformation, g: Transformation) -> Transformation:
     return Transformation(product(f.images, g.images))
 
 
-def classify(ctx: Context, f: Transformation) -> MembershipFlags:
-    """Membership of f in each of the four families over ctx."""
+def carries_y(ctx: Context, f: Transformation) -> bool:
+    """Whether Yf = Y, the membership test of the Y-onto-Y family."""
     if f.n != ctx.n:
         raise DimensionError(f"map on {f.n} points in a context with n={ctx.n}")
+    return {f.images[y] for y in ctx.y_set} == ctx.y_frozen
+
+
+def classify(ctx: Context, f: Transformation) -> MembershipFlags:
+    """Membership of f in each of the four families over ctx."""
+    in_omegabar = carries_y(ctx, f)
     ys = ctx.y_set
     vals = [f.images[y] for y in ys]
     yset = ctx.y_frozen
     in_tbar = all(v in yset for v in vals)
     injective_on_y = len(set(vals)) == len(ys)
     in_sbar = in_tbar and injective_on_y
-    in_omegabar = in_tbar and set(vals) == set(ys)
     in_fix = all(f.images[y] == y for y in ys)
     is_unit = in_omegabar and f.is_bijection()
     return MembershipFlags(

@@ -426,9 +426,9 @@ def profile_of(ctx, f) -> FiberProfile:
     Only defined for maps carrying Y onto Y, where every fiber over Y is
     nonempty; anything else raises DomainError.
     """
-    from .core import classify  # local import keeps module load order flat
+    from .core import carries_y  # local import keeps module load order flat
 
-    if not classify(ctx, f).in_omegabar:
+    if not carries_y(ctx, f):
         raise DomainError(f"{f} does not carry Y onto Y; profile undefined")
     ys = ctx.y_set
     counts = [sum(1 for z in ys if f.images[z] == y) for y in ys]

@@ -16,10 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Context, Transformation, classify, identity, image_deficit, product
+from .core import Context, Transformation, identity, image_deficit, product
 from .errors import DomainError
 from .extnat import ExtNat, as_extnat, n_value, profile_of
-from .semigroup import enumerate_family, j_below_holds
+from .semigroup import _require_member, enumerate_family, j_below_holds
 
 
 @dataclass(frozen=True, slots=True)
@@ -46,19 +46,19 @@ def _checked_subset(ctx: Context, subset) -> tuple[Transformation, ...]:
     if not fs:
         raise ValueError("need a nonempty subset")
     for f in fs:
-        if not classify(ctx, f).in_omegabar:
-            raise DomainError(f"{f} does not carry Y onto Y in context {ctx}")
+        _require_member(ctx, f)
     return tuple(sorted(fs, key=lambda f: f.images))
 
 
 def j_of_f(ctx: Context, subset) -> IdealSet:
-    """The divisibility down-set of a nonempty subset: all f below some g."""
+    """The divisibility down-set of a nonempty subset: all f below some g.
+
+    Over a finite Y two-sided divisibility is the image-deficit order, so f
+    lies below some g exactly when it lies below a g of largest deficit.
+    """
     gens = _checked_subset(ctx, subset)
-    members = tuple(
-        f
-        for f in enumerate_family(ctx, "omegabar").elements
-        if any(j_below_holds(ctx, f, g) for g in gens)
-    )
+    top = max(gens, key=lambda g: image_deficit(ctx, g))
+    members = tuple(f for f in enumerate_family(ctx, "omegabar").elements if j_below_holds(ctx, f, top))
     return IdealSet(ctx=ctx, members=members, generator_hint=gens)
 
 
@@ -70,11 +70,18 @@ def is_ideal(ctx: Context, subset, by=None) -> bool:
     and h2 = 1 or h = 1 gives back h f and f h.  A generating set of the
     family is enough for ``by``: every member is a product of generators, so
     if I a and a I lie inside I for each generator a, so do I h and h I, one
-    factor at a time.  The products are taken on image tuples.
+    factor at a time.  The products are taken on image tuples.  Elements of
+    ``by`` must be members, as those of ``subset`` must.
     """
     fs = [f.images for f in _checked_subset(ctx, subset)]
     inside = set(fs)
-    elems = [h.images for h in (enumerate_family(ctx, "omegabar").elements if by is None else by)]
+    if by is None:
+        by = enumerate_family(ctx, "omegabar").elements
+    else:
+        by = tuple(by)
+        for h in by:
+            _require_member(ctx, h)
+    elems = [h.images for h in by]
     return all(product(h, f) in inside and product(f, h) in inside for f in fs for h in elems)
 
 
@@ -118,7 +125,7 @@ def ideals_all(ctx: Context) -> tuple[IdealSet, ...]:
 def j_st(ctx: Context, s: "ExtNat | int", t: int) -> IdealSet:
     """Members with at most s small fibers over Y and image deficit at most t."""
     s_val = as_extnat(s)
-    if not isinstance(t, int) or not 0 <= t <= ctx.n - len(ctx.y_set):
+    if not isinstance(t, int) or isinstance(t, bool) or not 0 <= t <= ctx.n - len(ctx.y_set):
         raise ValueError(f"deficit threshold t must lie in 0..{ctx.n - len(ctx.y_set)}, got {t!r}")
     # every member's profile over a finite Y is all ones, like the identity's
     small = n_value(profile_of(ctx, identity(ctx.n)), ExtNat(len(ctx.y_set)))

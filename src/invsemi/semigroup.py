@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .core import (
     Context,
     Transformation,
-    classify,
+    carries_y,
     compose,
     fibers,
     identity,
@@ -117,7 +117,7 @@ def units(ctx: Context) -> tuple[Transformation, ...]:
 
 
 def _require_member(ctx: Context, f: Transformation) -> None:
-    if not classify(ctx, f).in_omegabar:
+    if not carries_y(ctx, f):
         raise DomainError(f"{f} does not carry Y onto Y in context {ctx}")
 
 
@@ -197,7 +197,7 @@ def l_below_witness(ctx: Context, f: Transformation, g: Transformation) -> Trans
             imgs.append(fiber_g[target][0])
     h = Transformation(tuple(imgs))
     assert compose(h, g).images == f.images, "witness failed recomposition"
-    assert classify(ctx, h).in_omegabar
+    assert carries_y(ctx, h)
     return h
 
 
@@ -220,7 +220,7 @@ def r_below_witness(ctx: Context, f: Transformation, g: Transformation) -> Trans
         imgs[v] = f.images[min(block)]  # f is constant on each g-fiber
     h = Transformation(tuple(imgs))
     assert compose(g, h).images == f.images, "witness failed recomposition"
-    assert classify(ctx, h).in_omegabar
+    assert carries_y(ctx, h)
     return h
 
 
@@ -277,7 +277,7 @@ def j_below_witness(
             h2_imgs.append(psi_back.get(z, 0))
     h, h2 = Transformation(tuple(h_imgs)), Transformation(tuple(h2_imgs))
     assert compose(h, compose(g, h2)).images == f.images, "witness failed recomposition"
-    assert classify(ctx, h).in_omegabar and classify(ctx, h2).in_omegabar
+    assert carries_y(ctx, h) and carries_y(ctx, h2)
     return h, h2
 
 

@@ -1,6 +1,9 @@
 """Transformations, composition, membership flags, kernels, transversals."""
 
+import copy
+import dataclasses
 import itertools
+import pickle
 import random
 
 import pytest
@@ -10,6 +13,7 @@ from invsemi import (
     DimensionError,
     DomainError,
     Transformation,
+    carries_y,
     classify,
     compose,
     identity,
@@ -23,7 +27,7 @@ from invsemi import (
     transformation_to_json,
     transversals,
 )
-from invsemi import core
+from invsemi import core, j_of_f, l_related, profile_of
 from invsemi.core import fibers, product
 
 T = parse_transformation
@@ -55,6 +59,16 @@ def test_context_validation():
         Context(2, (True,))
     with pytest.raises(DomainError):
         Context(True, (0,))
+
+
+def test_context_derived_sets_survive_copies():
+    ctx = Context(3, (0, 1))
+    assert repr(ctx) == "Context(n=3, y_set=(0, 1))"
+    for twin in (pickle.loads(pickle.dumps(ctx)), copy.deepcopy(ctx)):
+        assert twin == ctx and hash(twin) == hash(ctx)
+        assert (twin.y_frozen, twin.x_minus_y) == (frozenset({0, 1}), (2,))
+    moved = dataclasses.replace(ctx, y_set=(2,))
+    assert (moved.y_frozen, moved.x_minus_y) == (frozenset({2}), (0, 1))
 
 
 def test_compose_left_to_right():
@@ -116,6 +130,33 @@ def test_classify_chain_exhaustive():
                     assert not fl.in_fix or fl.in_sbar
                     assert not fl.in_sbar or fl.in_omegabar
                     assert not fl.in_omegabar or fl.in_tbar
+
+
+def test_carries_y_is_classify_omegabar_exhaustive():
+    for n in (1, 2, 3):
+        for r in range(1, n + 1):
+            for ys in itertools.combinations(range(n), r):
+                ctx = Context(n, ys)
+                for imgs in itertools.product(range(n), repeat=n):
+                    f = Transformation(imgs)
+                    assert carries_y(ctx, f) == classify(ctx, f).in_omegabar
+    with pytest.raises(DimensionError, match="map on 2 points in a context with n=3"):
+        carries_y(C31, T("[0 1]"))
+
+
+@pytest.mark.parametrize(
+    "call, text",
+    [
+        (lambda f: l_related(C31, f, f), "[0 0 2] does not carry Y onto Y in context n=3 Y={0,1}"),
+        (lambda f: j_of_f(C31, [f]), "[0 0 2] does not carry Y onto Y in context n=3 Y={0,1}"),
+        (lambda f: profile_of(C31, f), "[0 0 2] does not carry Y onto Y; profile undefined"),
+    ],
+    ids=["l_related", "j_of_f", "profile_of"],
+)
+def test_member_guard_messages(call, text):
+    with pytest.raises(DomainError) as exc:
+        call(T("[0 0 2]"))
+    assert str(exc.value) == text
 
 
 def test_restrict_to_y():

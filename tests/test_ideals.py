@@ -6,6 +6,7 @@ import pytest
 
 from invsemi import (
     Context,
+    DimensionError,
     DomainError,
     OMEGA,
     compose,
@@ -14,6 +15,7 @@ from invsemi import (
     n_value,
     parse_profile,
     parse_transformation,
+    Transformation,
 )
 from invsemi.ideals import ideals_all, is_ideal, j_classes, j_of_f, j_st, kernel
 from invsemi.extnat import j_condition
@@ -43,6 +45,15 @@ def test_j_of_f_rejects_bad_input():
         j_of_f(C31, [])
     with pytest.raises(DomainError):
         j_of_f(C31, [T("[0 0 2]")])
+
+
+def test_is_ideal_checks_by():
+    bottom = [T(s) for s in BOTTOM4]
+    assert is_ideal(C31, bottom, by=iter(enumerate_family(C31).elements))
+    with pytest.raises(DimensionError):
+        is_ideal(C31, bottom, by=[Transformation((0, 1))])
+    with pytest.raises(DomainError, match=r"\[0 0 2\] does not carry Y onto Y in context"):
+        is_ideal(C31, bottom, by=[identity(3), T("[0 0 2]")])
 
 
 def test_is_ideal_frozen():
@@ -168,6 +179,11 @@ def test_j_st_range_check():
         j_st(C31, 2, 5)
     with pytest.raises(ValueError):
         j_st(C31, 2, -1)
+
+
+def test_j_st_rejects_bool_threshold():
+    with pytest.raises(ValueError, match="deficit threshold t"):
+        j_st(Context(3, (0,)), 1, True)
 
 
 def test_j_st_accepts_omega_threshold():
