@@ -18,16 +18,19 @@ from invsemi import (
     compose,
     identity,
     image_deficit,
+    j_of_f,
     kernel_partition,
+    l_related,
     parse_transformation,
     parse_y,
+    profile_of,
     refines,
     restrict_to_y,
     transformation_from_json,
     transformation_to_json,
     transversals,
 )
-from invsemi import core, j_of_f, l_related, profile_of
+from invsemi import core
 from invsemi.core import fibers, product
 
 T = parse_transformation

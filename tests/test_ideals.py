@@ -9,13 +9,13 @@ from invsemi import (
     DimensionError,
     DomainError,
     OMEGA,
+    Transformation,
     compose,
     identity,
     image_deficit,
     n_value,
     parse_profile,
     parse_transformation,
-    Transformation,
 )
 from invsemi.ideals import ideals_all, is_ideal, j_classes, j_of_f, j_st, kernel
 from invsemi.extnat import j_condition
@@ -179,11 +179,8 @@ def test_j_st_range_check():
         j_st(C31, 2, 5)
     with pytest.raises(ValueError):
         j_st(C31, 2, -1)
-
-
-def test_j_st_rejects_bool_threshold():
-    with pytest.raises(ValueError, match="deficit threshold t"):
-        j_st(Context(3, (0,)), 1, True)
+    with pytest.raises(ValueError):
+        j_st(Context(3, (0,)), 1, True)  # a bool is not a threshold
 
 
 def test_j_st_accepts_omega_threshold():
