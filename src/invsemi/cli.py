@@ -66,9 +66,7 @@ def cmd_enum(args) -> int:
         }
         print(json.dumps(doc, indent=2))
     else:
-        print(f"count={len(enum.elements)}")
-        for f in enum.elements:
-            print(str(f))
+        sys.stdout.write("\n".join([f"count={len(enum.elements)}", *map(str, enum.elements)]) + "\n")
     return 0
 
 
@@ -185,13 +183,26 @@ def cmd_eggbox(args) -> int:
     return 0
 
 
-def _ideal_doc(ctx: Context, ideal) -> dict:
-    return {
-        "size": len(ideal.members),
-        "t": max((image_deficit(ctx, f) for f in ideal.members), default=None),
-        "members": [str(f) for f in ideal.members],
-        "warning": ideal.warning,
-    }
+def _ideal_docs(ctx: Context, ideals) -> list[dict]:
+    """One document per ideal; a member shared by several is formatted, and its deficit taken, once."""
+    seen: dict[tuple[int, ...], tuple[str, int]] = {}
+    docs = []
+    for ideal in ideals:
+        rows = []
+        for f in ideal.members:
+            row = seen.get(f.images)
+            if row is None:
+                row = seen[f.images] = (str(f), image_deficit(ctx, f))
+            rows.append(row)
+        docs.append(
+            {
+                "size": len(rows),
+                "t": max((t for _, t in rows), default=None),
+                "members": [text for text, _ in rows],
+                "warning": ideal.warning,
+            }
+        )
+    return docs
 
 
 def cmd_ideals(args) -> int:
@@ -201,15 +212,14 @@ def cmd_ideals(args) -> int:
         "n": ctx.n,
         "y": list(ctx.y_set),
         "count": len(found),
-        "ideals": [_ideal_doc(ctx, i) for i in found],
+        "ideals": _ideal_docs(ctx, found),
     }
     if args.format == "text":
-        print(f"count={len(found)}")
-        for i, ideal in enumerate(found):
-            d = _ideal_doc(ctx, ideal)
-            print(f"ideal {i}: size={d['size']} t={d['t']}")
-            for m in d["members"]:
-                print(f"  {m}")
+        lines = [f"count={len(found)}"]
+        for i, d in enumerate(doc["ideals"]):
+            lines.append(f"ideal {i}: size={d['size']} t={d['t']}")
+            lines.extend(f"  {m}" for m in d["members"])
+        sys.stdout.write("\n".join(lines) + "\n")
     else:
         print(json.dumps(doc, indent=2))
     return 0
@@ -218,11 +228,10 @@ def cmd_ideals(args) -> int:
 def cmd_kernel(args) -> int:
     ctx = _ctx_of(args)
     bottom = kernel(ctx)
-    doc = {"n": ctx.n, "y": list(ctx.y_set), **_ideal_doc(ctx, bottom)}
+    doc = {"n": ctx.n, "y": list(ctx.y_set), **_ideal_docs(ctx, [bottom])[0]}
     if args.format == "text":
-        print(f"size={doc['size']} t={doc['t']}")
-        for m in doc["members"]:
-            print(f"  {m}")
+        lines = [f"size={doc['size']} t={doc['t']}", *(f"  {m}" for m in doc["members"])]
+        sys.stdout.write("\n".join(lines) + "\n")
     else:
         print(json.dumps(doc, indent=2))
     return 0

@@ -14,7 +14,14 @@ computed independently so the coincidence can be checked, not assumed.
 
 There is one product, ``product``, on raw image tuples.  The definitional
 searches multiply tuples with it and build a Transformation only for what
-they return; ``compose`` is its dimension-checked, validating wrapper.
+they return; ``compose`` is its dimension-checked wrapper.
+
+Image tuples are validated where maps enter from outside the program: the
+public ``Transformation(...)`` constructor, ``parse_transformation`` and
+``transformation_from_json``.  Tuples that are valid by construction (the
+product of two maps of one size, or the members that ``enumerate_family`` and
+``units`` generate from candidates in ``range(n)``) are wrapped by the private
+``_trusted`` and not checked again.
 """
 
 from __future__ import annotations
@@ -67,6 +74,21 @@ class Transformation:
 
     def __str__(self) -> str:
         return format_transformation(self)
+
+
+_new_object = object.__new__
+_set_images = Transformation.images.__set__  # the slot, past the frozen __setattr__
+
+
+def _trusted(images: tuple[int, ...]) -> Transformation:
+    """A Transformation of a tuple that is valid by construction, neither copied nor checked.
+
+    Only for tuples the program built itself with every entry in
+    ``range(len(images))``; anything from outside goes through ``Transformation``.
+    """
+    f = _new_object(Transformation)
+    _set_images(f, images)
+    return f
 
 
 def identity(n: int) -> Transformation:
@@ -153,10 +175,14 @@ def product(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def compose(f: Transformation, g: Transformation) -> Transformation:
-    """Left-to-right product: x (f g) = (x f) g, dimension-checked and validated."""
+    """Left-to-right product: x (f g) = (x f) g, dimension-checked.
+
+    The product of two valid maps on the same points is valid, so it is not
+    validated again.
+    """
     if f.n != g.n:
         raise DimensionError(f"cannot compose maps on {f.n} and {g.n} points")
-    return Transformation(product(f.images, g.images))
+    return _trusted(product(f.images, g.images))
 
 
 def carries_y(ctx: Context, f: Transformation) -> bool:
@@ -260,7 +286,7 @@ def refines(
 
 
 def format_transformation(f: Transformation) -> str:
-    return "[" + " ".join(str(v) for v in f.images) + "]"
+    return "[" + " ".join(map(str, f.images)) + "]"
 
 
 def parse_transformation(text: str) -> Transformation:

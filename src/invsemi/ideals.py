@@ -15,11 +15,14 @@ cut is interesting.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .core import Context, Transformation, identity, image_deficit, product
 from .errors import DomainError
 from .extnat import ExtNat, as_extnat, n_value, profile_of
 from .semigroup import _require_member, enumerate_family, j_below_holds
+
+_images = attrgetter("images")
 
 
 @dataclass(frozen=True, slots=True)
@@ -54,11 +57,12 @@ def j_of_f(ctx: Context, subset) -> IdealSet:
     """The divisibility down-set of a nonempty subset: all f below some g.
 
     Over a finite Y two-sided divisibility is the image-deficit order, so f
-    lies below some g exactly when it lies below a g of largest deficit.
+    lies below some g exactly when its deficit is at most the largest
+    deficit among the g.
     """
     gens = _checked_subset(ctx, subset)
-    top = max(gens, key=lambda g: image_deficit(ctx, g))
-    members = tuple(f for f in enumerate_family(ctx, "omegabar").elements if j_below_holds(ctx, f, top))
+    bound = max(image_deficit(ctx, g) for g in gens)
+    members = tuple(f for f in enumerate_family(ctx, "omegabar").elements if image_deficit(ctx, f) <= bound)
     return IdealSet(ctx=ctx, members=members, generator_hint=gens)
 
 
@@ -91,14 +95,20 @@ def j_classes(ctx: Context) -> tuple[tuple[Transformation, ...], ...]:
     Over a finite Y that is equality of image deficits; classes come in order
     of their first member.
     """
+    yset = ctx.y_frozen
     classes: dict[int, list[Transformation]] = {}
     for f in enumerate_family(ctx, "omegabar").elements:
-        classes.setdefault(image_deficit(ctx, f), []).append(f)
+        classes.setdefault(len(f.image() - yset), []).append(f)
     return tuple(tuple(c) for c in classes.values())
 
 
 def ideals_all(ctx: Context) -> tuple[IdealSet, ...]:
-    """Every ideal, by brute force over down-sets of J-classes, smallest first."""
+    """Every ideal, by brute force over down-sets of J-classes, smallest first.
+
+    Each class is already in lexicographic order, so an ideal's members are
+    the merge of its classes: one sort of their concatenation, which Timsort
+    does by merging the sorted runs.
+    """
     classes = j_classes(ctx)
     reps = [c[0] for c in classes]
     k = len(classes)
@@ -114,11 +124,9 @@ def ideals_all(ctx: Context) -> tuple[IdealSet, ...]:
         )
         if not closed:
             continue
-        members = tuple(
-            sorted((f for i in chosen for f in classes[i]), key=lambda f: f.images)
-        )
+        members = tuple(sorted([f for i in chosen for f in classes[i]], key=_images))
         out.append(IdealSet(ctx=ctx, members=members))
-    out.sort(key=lambda s: (len(s.members), [f.images for f in s.members]))
+    out.sort(key=lambda s: (len(s.members), list(map(_images, s.members))))
     return tuple(out)
 
 
@@ -145,14 +153,16 @@ def j_st(ctx: Context, s: "ExtNat | int", t: int) -> IdealSet:
 
 
 def kernel(ctx: Context) -> IdealSet:
-    """The least ideal, computed as the intersection of all of them."""
+    """The least ideal, computed as the intersection of all of them.
+
+    The intersection lies inside the first (smallest) ideal, whose members are
+    sorted, so it is read off them in order.
+    """
     all_ideals = ideals_all(ctx)
     if not all_ideals:
         raise DomainError("no ideals found; the family should always have at least one")
     common = set(all_ideals[0].as_set())
     for ideal in all_ideals[1:]:
         common &= ideal.as_set()
-    members = tuple(
-        sorted((Transformation(t) for t in common), key=lambda f: f.images)
-    )
+    members = tuple(f for f in all_ideals[0].members if f.images in common)
     return IdealSet(ctx=ctx, members=members)

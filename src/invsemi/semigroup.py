@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from .core import (
     Context,
     Transformation,
+    _trusted,
     carries_y,
     compose,
     fibers,
@@ -77,6 +78,7 @@ def enumerate_family(ctx: Context, family: str = "omegabar", budget: int | None 
     Generation walks per-position candidate lists rather than filtering all
     n^n maps: positions in Y only ever map into Y, and the two bijective-on-Y
     families additionally require the Y positions to take distinct values.
+    Every candidate lies in range(n), so the members are not validated again.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
@@ -91,13 +93,11 @@ def enumerate_family(ctx: Context, family: str = "omegabar", budget: int | None 
             per_pos.append((x,) if family == "fix" else ys)
         else:
             per_pos.append(tuple(range(ctx.n)))
-    need_distinct = family in ("sbar", "omegabar")
-    out: list[Transformation] = []
-    for imgs in itertools.product(*per_pos):
-        if need_distinct and len({imgs[y] for y in ys}) != len(ys):
-            continue
-        out.append(Transformation(imgs))
-    return SemigroupEnum(ctx=ctx, family=family, elements=tuple(out))
+    need_distinct = family in ("sbar", "omegabar") and len(ys) > 1  # one Y point is always distinct
+    tuples = itertools.product(*per_pos)
+    if need_distinct:
+        tuples = (imgs for imgs in tuples if len({imgs[y] for y in ys}) == len(ys))
+    return SemigroupEnum(ctx=ctx, family=family, elements=tuple(map(_trusted, tuples)))
 
 
 def units(ctx: Context) -> tuple[Transformation, ...]:
@@ -111,7 +111,7 @@ def units(ctx: Context) -> tuple[Transformation, ...]:
                 imgs[src] = dst
             for src, dst in zip(rest, perm_rest):
                 imgs[src] = dst
-            out.append(Transformation(tuple(imgs)))
+            out.append(_trusted(tuple(imgs)))
     out.sort(key=lambda f: f.images)
     return tuple(out)
 
@@ -514,15 +514,16 @@ def eggbox(ctx: Context) -> EggBox:
     """Group the family into D-classes and lay each out as an R-by-L grid.
 
     One pass puts each member into its (deficit, R key, L key) cell, with the
-    keys r_related and l_related compare.  Members come in lexicographic
-    order, so rows and columns appear in order of their least member and
-    every cell is already sorted.
+    keys r_related and l_related compare; the deficit is read off the same
+    image set as the L key.  Members come in lexicographic order, so rows and
+    columns appear in order of their least member and every cell is already
+    sorted.
     """
     yset = ctx.y_frozen
     by_d: dict[int, dict[tuple, list[Transformation]]] = {}
     for f in enumerate_family(ctx, "omegabar").elements:
-        cell_key = (_r_key(yset, f), f.image())
-        by_d.setdefault(image_deficit(ctx, f), {}).setdefault(cell_key, []).append(f)
+        img = f.image()
+        by_d.setdefault(len(img - yset), {}).setdefault((_r_key(yset, f), img), []).append(f)
 
     grids: list[DClassGrid] = []
     for deficit in sorted(by_d, reverse=True):

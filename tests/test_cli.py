@@ -1,9 +1,11 @@
 """Command-line surface: output shapes, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -177,6 +179,18 @@ def test_ideals_json(capsys):
     assert [i["t"] for i in doc["ideals"]] == [0, 1]
 
 
+def test_family_cli_outputs_match_recorded_digests(capsys):
+    # SHA-256 of stdout of enum (all four families, text), ideals and kernel
+    # (json and text) on two contexts at n = 6 and two at n = 5, recorded from
+    # the code that still validated every member and rendered it once per ideal
+    recorded = json.loads((Path(__file__).parent / "data" / "family_cli_sha256.json").read_text())
+    assert len(recorded) == 4 * (4 + 4)
+    for row in recorded:
+        assert main(row["argv"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == row["sha256"], row["argv"]
+
+
 def test_kernel_json(capsys):
     assert main(["kernel", "--n", "3", "--y", "0,1"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -303,8 +317,8 @@ def test_verify_mutant_detected():
         env=env,
     )
     assert r.returncode == 1
-    assert "FAIL" in r.stdout
-    assert "green.L" in r.stdout
+    failing = [line.split()[1] for line in r.stdout.splitlines() if line.startswith("FAIL")]
+    assert failing == ["green.L", "green.R", "green.D_compositions", "witness.L", "witness.R", "witness.J"]
 
 
 def test_verify_report_file(tmp_path):

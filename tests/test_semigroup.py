@@ -12,6 +12,7 @@ import pytest
 from invsemi import (
     BudgetError,
     Context,
+    DimensionError,
     DomainError,
     Transformation,
     classify,
@@ -102,6 +103,32 @@ def test_units_frozen():
         for k in range(1, n + 1):
             ctx = Context(n, tuple(range(k)))
             assert len(units(ctx)) == math.factorial(k) * math.factorial(n - k)
+
+
+def _all_contexts(max_n):
+    for n in range(1, max_n + 1):
+        for r in range(1, n + 1):
+            for ys in itertools.combinations(range(n), r):
+                yield Context(n, ys)
+
+
+def test_trusted_construction_matches_validation_n_le_4():
+    # enumerate_family, units and compose build their maps without validating
+    # them; each must hold a plain tuple that the checking constructor accepts
+    def same_as_validated(maps):
+        assert all(type(f.images) is tuple for f in maps)
+        assert [Transformation(f.images) for f in maps] == maps
+
+    for ctx in _all_contexts(4):
+        same_as_validated(list(units(ctx)))
+        for family in FAMILIES:
+            elems = enumerate_family(ctx, family).elements
+            same_as_validated(list(elems))
+            same_as_validated([compose(f, g) for f in elems for g in elems])
+    with pytest.raises(DimensionError):
+        compose(identity(3), identity(4))
+    with pytest.raises(DimensionError):
+        compose(enumerate_family(Context(4, (0,))).elements[0], units(Context(3, (0,)))[0])
 
 
 def test_units_are_the_bijective_members():
