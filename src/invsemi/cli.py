@@ -16,6 +16,7 @@ import sys
 from .core import (
     Context,
     classify,
+    format_transformation,
     image_deficit,
     parse_transformation,
     parse_y,
@@ -62,11 +63,12 @@ def cmd_enum(args) -> int:
             "y": list(ctx.y_set),
             "family": enum.family,
             "count": len(enum.elements),
-            "elements": [str(f) for f in enum.elements],
+            "elements": list(map(format_transformation, enum.elements)),
         }
         print(json.dumps(doc, indent=2))
     else:
-        sys.stdout.write("\n".join([f"count={len(enum.elements)}", *map(str, enum.elements)]) + "\n")
+        lines = [f"count={len(enum.elements)}", *map(format_transformation, enum.elements)]
+        sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
 
@@ -192,7 +194,7 @@ def _ideal_docs(ctx: Context, ideals) -> list[dict]:
         for f in ideal.members:
             row = seen.get(f.images)
             if row is None:
-                row = seen[f.images] = (str(f), image_deficit(ctx, f))
+                row = seen[f.images] = (format_transformation(f), image_deficit(ctx, f))
             rows.append(row)
         docs.append(
             {

@@ -163,6 +163,6 @@ def kernel(ctx: Context) -> IdealSet:
         raise DomainError("no ideals found; the family should always have at least one")
     common = set(all_ideals[0].as_set())
     for ideal in all_ideals[1:]:
-        common &= ideal.as_set()
+        common.intersection_update(map(_images, ideal.members))
     members = tuple(f for f in all_ideals[0].members if f.images in common)
     return IdealSet(ctx=ctx, members=members)

@@ -26,6 +26,7 @@ from .core import (
     carries_y,
     compose,
     fibers,
+    format_transformation,
     identity,
     image_deficit,
     kernel_partition,
@@ -600,7 +601,7 @@ def eggbox_json(box: EggBox) -> dict:
                 "cells": [
                     [
                         {
-                            "elements": [str(e) for e in cell.elements],
+                            "elements": list(map(format_transformation, cell.elements)),
                             "idempotent": cell.has_idempotent,
                         }
                         for cell in row
