@@ -182,7 +182,8 @@ def test_ideals_json(capsys):
 def test_family_cli_outputs_match_recorded_digests(capsys):
     # SHA-256 of stdout of enum (all four families, text), ideals and kernel
     # (json and text) on two contexts at n = 6 and two at n = 5, recorded from
-    # the code that still validated every member and rendered it once per ideal
+    # the code that validated every enumerated member and rendered a member
+    # once for each ideal holding it
     recorded = json.loads((Path(__file__).parent / "data" / "family_cli_sha256.json").read_text())
     assert len(recorded) == 4 * (4 + 4)
     for row in recorded:

@@ -105,13 +105,6 @@ def test_units_frozen():
             assert len(units(ctx)) == math.factorial(k) * math.factorial(n - k)
 
 
-def _all_contexts(max_n):
-    for n in range(1, max_n + 1):
-        for r in range(1, n + 1):
-            for ys in itertools.combinations(range(n), r):
-                yield Context(n, ys)
-
-
 def test_trusted_construction_matches_validation_n_le_4():
     # enumerate_family, units and compose build their maps without validating
     # them; each must hold a plain tuple that the checking constructor accepts
@@ -125,8 +118,6 @@ def test_trusted_construction_matches_validation_n_le_4():
             elems = enumerate_family(ctx, family).elements
             same_as_validated(list(elems))
             same_as_validated([compose(f, g) for f in elems for g in elems])
-    with pytest.raises(DimensionError):
-        compose(identity(3), identity(4))
     with pytest.raises(DimensionError):
         compose(enumerate_family(Context(4, (0,))).elements[0], units(Context(3, (0,)))[0])
 
