@@ -27,7 +27,6 @@ from .core import (
     restrict_to_y,
     transformation_from_json,
     transformation_to_json,
-    transversals,
 )
 from .errors import BudgetError, DimensionError, DomainError, InvsemiError
 from .extnat import (
@@ -52,7 +51,6 @@ from .regularity import (
     is_regular_oracle,
     is_unit_regular,
     pre_inverses,
-    regular_elements,
 )
 from .semigroup import (
     EggBox,

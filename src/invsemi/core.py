@@ -26,7 +26,6 @@ product of two maps of one size, or the members that ``enumerate_family`` and
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -159,9 +158,6 @@ class KernelPartition:
         pts = set(points)
         return tuple(b for b, v in zip(self.blocks, self.block_images) if v in pts)
 
-    def block_sets(self) -> frozenset[frozenset[int]]:
-        return frozenset(self.blocks)
-
 
 def product(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     """Left-to-right product of image tuples of equal length: x (a b) = b[a[x]].
@@ -249,28 +245,6 @@ def kernel_partition(f: Transformation) -> KernelPartition:
         blocks=tuple(frozenset(xs) for xs in by_image.values()),
         block_images=tuple(by_image),
     )
-
-
-def transversals(
-    f: Transformation, require_superset: frozenset[int] | set[int] = frozenset()
-) -> "itertools.chain[frozenset[int]]":
-    """All transversals of ker(f): one point per fiber, in lexicographic order.
-
-    ``require_superset`` restricts the stream to transversals containing the
-    given points; a fiber holding two required points kills the stream.
-    Order is lexicographic on the sorted tuple of chosen points.
-    """
-    req = set(require_superset)
-    part = kernel_partition(f)
-    choices: list[list[int]] = []
-    for block in part.blocks:
-        hit = sorted(block & req)
-        if len(hit) > 1:
-            return itertools.chain(())  # two required points share a fiber
-        choices.append(hit if hit else sorted(block))
-    found = [frozenset(pick) for pick in itertools.product(*choices)]
-    found.sort(key=lambda t: tuple(sorted(t)))
-    return itertools.chain(found)
 
 
 def refines(

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from operator import attrgetter
 
 from .core import Context, Transformation, identity, image_deficit, product
-from .errors import DomainError
 from .extnat import ExtNat, as_extnat, n_value, profile_of
 from .semigroup import _require_member, enumerate_family, j_below_holds
 
@@ -27,11 +26,10 @@ _images = attrgetter("images")
 
 @dataclass(frozen=True, slots=True)
 class IdealSet:
-    """A subset of the family, sorted, with optional provenance and warning."""
+    """A subset of the family, sorted, with an optional warning."""
 
     ctx: Context
     members: tuple[Transformation, ...]
-    generator_hint: tuple[Transformation, ...] | None = None
     warning: str | None = None
 
     def __len__(self) -> int:
@@ -63,7 +61,7 @@ def j_of_f(ctx: Context, subset) -> IdealSet:
     gens = _checked_subset(ctx, subset)
     bound = max(image_deficit(ctx, g) for g in gens)
     members = tuple(f for f in enumerate_family(ctx, "omegabar").elements if image_deficit(ctx, f) <= bound)
-    return IdealSet(ctx=ctx, members=members, generator_hint=gens)
+    return IdealSet(ctx=ctx, members=members)
 
 
 def is_ideal(ctx: Context, subset, by=None) -> bool:
@@ -153,16 +151,12 @@ def j_st(ctx: Context, s: "ExtNat | int", t: int) -> IdealSet:
 
 
 def kernel(ctx: Context) -> IdealSet:
-    """The least ideal, computed as the intersection of all of them.
+    """The least ideal: the members whose image is exactly Y, in lexicographic order.
 
-    The intersection lies inside the first (smallest) ideal, whose members are
-    sorted, so it is read off them in order.
+    Over a finite Y those are the members of image deficit 0, which lie below
+    every member under two-sided divisibility.  The verify battery compares
+    this with the intersection of all ideals.
     """
-    all_ideals = ideals_all(ctx)
-    if not all_ideals:
-        raise DomainError("no ideals found; the family should always have at least one")
-    common = set(all_ideals[0].as_set())
-    for ideal in all_ideals[1:]:
-        common.intersection_update(map(_images, ideal.members))
-    members = tuple(f for f in all_ideals[0].members if f.images in common)
+    yset = ctx.y_frozen
+    members = tuple(f for f in enumerate_family(ctx, "omegabar").elements if f.image() == yset)
     return IdealSet(ctx=ctx, members=members)

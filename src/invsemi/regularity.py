@@ -118,10 +118,3 @@ def is_unit_regular(ctx: Context, f: Transformation) -> RegularityReport:
         witness_unit=u,
         certifying_transversal=frozenset(pick.values()),
     )
-
-
-def regular_elements(ctx: Context) -> tuple[Transformation, ...]:
-    """Members regular in the structural sense, in lexicographic order."""
-    return tuple(
-        f for f in enumerate_family(ctx, "omegabar").elements if is_regular(ctx, f)
-    )

@@ -42,7 +42,6 @@ from .core import (
     restrict_to_y,
     transformation_from_json,
     transformation_to_json,
-    transversals,
 )
 from .errors import BudgetError, DimensionError
 from .extnat import (
@@ -320,6 +319,11 @@ def _check_restriction(data: _CtxData, rng: random.Random):
 
 
 def _check_transversals(data: _CtxData, rng: random.Random):
+    """The unit-regularity certificate is the least transversal of ker(f) containing Y.
+
+    The transversals are found by filtering every subset of X, and the
+    pre-inverse witness must send the image of f onto the same transversal.
+    """
     ctx = data.ctx
     n = ctx.n
     all_subsets = [
@@ -330,23 +334,18 @@ def _check_transversals(data: _CtxData, rng: random.Random):
     checked = 0
     for f in _member_iter(data, data.enum(), rng, 40):
         blocks = kernel_partition(f).blocks
-        want_plain = sorted(
-            (t for t in all_subsets if all(len(t & b) == 1 for b in blocks)),
+        want = min(
+            (t for t in all_subsets if ctx.y_frozen <= t and all(len(t & b) == 1 for b in blocks)),
             key=lambda t: tuple(sorted(t)),
         )
-        got_plain = list(transversals(f))
+        rep = is_unit_regular(ctx, f)
+        t, p = rep.certifying_transversal, rep.witness_pre_inverse
         checked += 1
-        if got_plain != want_plain:
-            return checked, _ex(data, f=f, detail="transversal stream differs from subset filter")
-        want_y = [t for t in want_plain if ctx.y_frozen <= t]
-        got_y = list(transversals(f, require_superset=ctx.y_frozen))
+        if t != want:
+            return checked, _ex(data, f=f, t=sorted(t), detail="certificate is not the least transversal containing Y")
         checked += 1
-        if got_y != want_y:
-            return checked, _ex(data, f=f, detail="Y-constrained transversal stream wrong")
-        if len(got_plain) and len(set(len(t) for t in got_plain)) != 1:
-            return checked, _ex(data, f=f, detail="transversal sizes vary")
-        if got_plain and len(got_plain[0]) != len(f.image()):
-            return checked, _ex(data, f=f, detail="transversal size differs from image size")
+        if {p.images[v] for v in f.image()} != want:
+            return checked, _ex(data, f=f, p=p, detail="pre-inverse does not send Xf onto the certificate")
     return checked, None
 
 
@@ -484,14 +483,6 @@ def _check_unit_regular(data: _CtxData, rng: random.Random):
             return checked, _ex(data, f=f, u=u, detail="unit witness recomposition")
         if not classify(ctx, u).is_unit_of_omegabar:
             return checked, _ex(data, f=f, u=u, detail="witness is not a unit")
-        t = rep.certifying_transversal
-        blocks = kernel_partition(f).blocks
-        if not (
-            ctx.y_frozen <= t
-            and all(len(t & b) == 1 for b in blocks)
-            and ctx.n - len(t) == ctx.n - len(f.image())
-        ):
-            return checked, _ex(data, f=f, t=sorted(t), detail="certificate is not a fitting transversal")
         p = rep.witness_pre_inverse
         if p is None or compose(f, compose(p, f)).images != f.images:
             return checked, _ex(data, f=f, detail="pre-inverse witness recomposition")
@@ -602,14 +593,13 @@ def _check_ideal_thresholds(data: _CtxData, rng: random.Random):
 def _check_kernel(data: _CtxData, rng: random.Random):
     ctx = data.ctx
     bottom = kernel(ctx)
-    found = data.ideals()
+    common = frozenset.intersection(*(ideal.as_set() for ideal in data.ideals()))
     checked = 1
-    if bottom.as_set() != found[0].as_set():
-        return checked, _ex(data, detail="kernel differs from the least ideal")
-    want = {f.images for f in data.enum() if f.image() == ctx.y_frozen}
+    if bottom.as_set() != common:
+        return checked, _ex(data, detail="kernel differs from the intersection of all ideals")
     checked += 1
-    if bottom.as_set() != want:
-        return checked, _ex(data, detail="kernel differs from the image-equals-Y members")
+    if not _ideal_holds(data, bottom.members):
+        return checked, _ex(data, detail="kernel fails the definitional ideal check")
     box = data.eggbox()
     bottom_class = box.d_classes[-1]
     members = {

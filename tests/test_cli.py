@@ -1,16 +1,19 @@
 """Command-line surface: output shapes, exit codes, determinism."""
 
+import dataclasses
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from invsemi import Context, classify, compose, kernel_partition, parse_transformation
+from invsemi import Context, classify, compose, kernel_partition, parse_transformation, verify
 from invsemi.cli import build_parser, main
+from invsemi.ideals import ideals_all
 from invsemi.verify import VerifyConfig, pool_size, run_verify
 
 
@@ -49,6 +52,13 @@ def test_enum_budget_exits_3():
     )
     assert r.returncode == 3
     assert "budget" in r.stderr
+
+
+@pytest.mark.parametrize("cmd", ["eggbox", "ideals", "kernel"])
+def test_family_commands_past_budget_exit_3(cmd, monkeypatch, capsys):
+    monkeypatch.delenv("INVSEMI_BUDGET", raising=False)
+    assert main([cmd, "--n", "7", "--y", "0"]) == 3
+    assert "budget" in capsys.readouterr().err
 
 
 def test_classify_member(capsys):
@@ -129,7 +139,7 @@ def test_green_d_middle_past_enumeration_cap(capsys):
     m = parse_transformation(kv["d_middle"])
     pm, pg = kernel_partition(m), kernel_partition(g)
     assert m.image() == f.image()
-    assert pm.block_sets() == pg.block_sets()
+    assert frozenset(pm.blocks) == frozenset(pg.blocks)
     assert set(pm.fibers_over(ys)) == set(pg.fibers_over(ys))
 
 
@@ -320,6 +330,33 @@ def test_verify_mutant_detected():
     assert r.returncode == 1
     failing = [line.split()[1] for line in r.stdout.splitlines() if line.startswith("FAIL")]
     assert failing == ["green.L", "green.R", "green.D_compositions", "witness.L", "witness.R", "witness.J"]
+
+
+def test_kernel_check_catches_a_bigger_ideal(monkeypatch):
+    # kernel reads the closed form; the check holds it against the intersection
+    # of all ideals
+    monkeypatch.setattr(verify, "kernel", lambda ctx: ideals_all(ctx)[1])
+    checked, ex = verify._check_kernel(verify._CtxData(Context(3, (0,))), random.Random(0))
+    assert checked == 1
+    assert ex["detail"] == "kernel differs from the intersection of all ideals"
+
+
+def test_transversal_check_catches_a_non_least_certificate(monkeypatch):
+    real = verify.is_unit_regular
+
+    def skewed(ctx, f):
+        rep = real(ctx, f)
+        if f.images == (0, 1, 1):
+            return dataclasses.replace(rep, certifying_transversal=frozenset({0, 2}))
+        return rep
+
+    monkeypatch.setattr(verify, "is_unit_regular", skewed)
+    data = verify._CtxData(Context(3, (0,)))
+    ex = verify._check_transversals(data, random.Random(0))[1]
+    assert ex["f"] == "[0 1 1]" and ex["t"] == "[0, 2]"
+    assert ex["detail"] == "certificate is not the least transversal containing Y"
+    # reg.unit_regular leaves the certificate to core.transversals
+    assert verify._check_unit_regular(data, random.Random(0))[1] is None
 
 
 def test_verify_report_file(tmp_path):

@@ -1,4 +1,4 @@
-"""Transformations, composition, membership flags, kernels, transversals."""
+"""Transformations, composition, membership flags, kernels."""
 
 import copy
 import dataclasses
@@ -28,7 +28,6 @@ from invsemi import (
     restrict_to_y,
     transformation_from_json,
     transformation_to_json,
-    transversals,
 )
 from invsemi import core
 from invsemi.core import fibers, product
@@ -173,9 +172,9 @@ def test_restrict_to_y():
 
 def test_kernel_partition():
     kp = kernel_partition(T("[0 1 0]"))
-    assert kp.block_sets() == frozenset({frozenset({0, 2}), frozenset({1})})
+    assert frozenset(kp.blocks) == frozenset({frozenset({0, 2}), frozenset({1})})
     kp = kernel_partition(identity(3))
-    assert kp.block_sets() == frozenset({frozenset({0}), frozenset({1}), frozenset({2})})
+    assert frozenset(kp.blocks) == frozenset({frozenset({0}), frozenset({1}), frozenset({2})})
     # sub-collection of fibers over the points of Xf inside the query set
     kp = kernel_partition(T("[1 0 1]"))
     assert set(kp.fibers_over({0, 1})) == {frozenset({1}), frozenset({0, 2})}
@@ -183,21 +182,6 @@ def test_kernel_partition():
     assert kp.blocks == (frozenset({0, 2}), frozenset({1}))
     assert kp.block_images == (1, 0)
     assert list(fibers(T("[2 0 2 1]")).items()) == [(2, [0, 2]), (0, [1]), (1, [3])]
-
-
-def test_transversals_frozen():
-    assert [sorted(t) for t in transversals(T("[0 1 0]"))] == [[0, 1], [1, 2]]
-    assert [sorted(t) for t in transversals(T("[0 1 0]"), {0, 1})] == [[0, 1]]
-    # one block cannot hold two required points
-    assert list(transversals(T("[0 0 0]"), {0, 1})) == []
-
-
-def test_transversal_cardinality():
-    # every transversal meets each fiber once, so |T| = |Xf|
-    for imgs in itertools.product(range(3), repeat=3):
-        f = Transformation(imgs)
-        for t in transversals(f):
-            assert len(t) == len(f.image())
 
 
 def test_injective_iff_surjective_finite():
@@ -212,7 +196,7 @@ def test_injective_iff_surjective_finite():
 def test_refines():
     assert refines([{0}, {2}], [{0, 2}, {1}])
     assert not refines([{0, 1}], [{0}, {1}])
-    kernels = [kernel_partition(Transformation(imgs)).block_sets() for imgs in itertools.product(range(3), repeat=3)]
+    kernels = [frozenset(kernel_partition(Transformation(imgs)).blocks) for imgs in itertools.product(range(3), repeat=3)]
     for blocks in kernels:
         assert refines(blocks, blocks)
     # on partitions, mutual refinement is plain equality
