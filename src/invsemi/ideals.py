@@ -19,7 +19,7 @@ from operator import attrgetter
 
 from .core import Context, Transformation, identity, image_deficit, product
 from .extnat import ExtNat, as_extnat, n_value, profile_of
-from .semigroup import _require_member, enumerate_family, j_below_holds
+from .semigroup import _generate, _require_member, enumerate_family, j_below_holds
 
 _images = attrgetter("images")
 
@@ -154,9 +154,8 @@ def kernel(ctx: Context) -> IdealSet:
     """The least ideal: the members whose image is exactly Y, in lexicographic order.
 
     Over a finite Y those are the members of image deficit 0, which lie below
-    every member under two-sided divisibility.  The verify battery compares
-    this with the intersection of all ideals.
+    every member under two-sided divisibility: the maps into Y that are
+    bijective on Y, generated directly.  The verify battery compares this with
+    the intersection of all ideals.
     """
-    yset = ctx.y_frozen
-    members = tuple(f for f in enumerate_family(ctx, "omegabar").elements if f.image() == yset)
-    return IdealSet(ctx=ctx, members=members)
+    return IdealSet(ctx=ctx, members=tuple(_generate(ctx, "omegabar", [ctx.y_set] * ctx.n)))

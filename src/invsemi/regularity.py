@@ -1,4 +1,4 @@
-"""Regular and unit-regular elements: structural tests and brute-force oracles.
+"""Regular and unit-regular elements: structural tests and definitional searches.
 
 An element f is regular when f g f = f for some g in the same family, and
 unit-regular when the middle factor can be chosen invertible.  Both notions
@@ -7,17 +7,18 @@ exactly bijectivity on Y (automatic over a finite Y), and unit-regularity is
 witnessed by a transversal of ker(f) that contains Y.  The report's
 witnesses are built from that transversal, not searched for; the searches
 (pre_inverses, is_regular_oracle) stay separate so the verify battery can
-compare the two.  They multiply image tuples and build a Transformation only
-for what they return.
+compare the two.  They read the defining equation f g f = f point by point,
+as (v g) f = v for every v in Xf, and generate exactly the members g that
+satisfy it; no member is multiplied out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Context, Transformation, classify, compose, fibers, product
+from .core import Context, Transformation, classify, compose, fibers
 from .errors import DomainError
-from .semigroup import SemigroupEnum, enumerate_family
+from .semigroup import _candidates, _generate
 
 
 @dataclass(frozen=True, slots=True)
@@ -34,30 +35,24 @@ class RegularityReport:
         assert (self.certifying_transversal is not None) == self.is_unit_regular
 
 
-def _pre_inverse_scan(ctx: Context, f: Transformation, family: str, enum: SemigroupEnum | None):
-    """The members g of the family with f g f = f, lazily, in lexicographic order."""
-    if enum is None:
-        enum = enumerate_family(ctx, family)
-    elif enum.ctx != ctx or enum.family != family:
-        raise DomainError("supplied enumeration does not match the requested family")
-    if not getattr(classify(ctx, f), f"in_{enum.family}"):
-        raise DomainError(f"{f} is not in family {enum.family!r} over {ctx}")
-    fi = f.images
-    return (g for g in enum.elements if product(fi, product(g.images, fi)) == fi)
+def _pre_inverse_scan(ctx: Context, f: Transformation, family: str):
+    """The members g of the family with f g f = f, lazily, in lexicographic order.
 
-
-def pre_inverses(
-    ctx: Context,
-    f: Transformation,
-    family: str = "omegabar",
-    enum: SemigroupEnum | None = None,
-) -> tuple[Transformation, ...]:
-    """All g in the family with f g f = f, in lexicographic order.
-
-    Pure brute force over the enumerated family; pass ``enum`` to reuse an
-    enumeration across many calls.
+    f g f = f exactly when (v g) f = v for every v in Xf: position v of g keeps
+    the family's candidates z with z f = v, and every other position keeps all.
     """
-    return tuple(_pre_inverse_scan(ctx, f, family, enum))
+    per_pos = _candidates(ctx, family)
+    if not getattr(classify(ctx, f), f"in_{family}"):
+        raise DomainError(f"{f} is not in family {family!r} over {ctx}")
+    fi = f.images
+    for v in set(fi):
+        per_pos[v] = tuple(z for z in per_pos[v] if fi[z] == v)
+    return _generate(ctx, family, per_pos)
+
+
+def pre_inverses(ctx: Context, f: Transformation, family: str = "omegabar") -> tuple[Transformation, ...]:
+    """All g in the family with f g f = f, in lexicographic order."""
+    return tuple(_pre_inverse_scan(ctx, f, family))
 
 
 def is_regular(ctx: Context, f: Transformation) -> bool:
@@ -68,12 +63,9 @@ def is_regular(ctx: Context, f: Transformation) -> bool:
     return flags.in_sbar
 
 
-def is_regular_oracle(ctx: Context, f: Transformation, enum: SemigroupEnum | None = None) -> bool:
-    """Definitional test: some member g satisfies f g f = f.
-
-    Pass ``enum``, the Y-onto-Y family, to reuse one enumeration across calls.
-    """
-    return next(_pre_inverse_scan(ctx, f, "omegabar", enum), None) is not None
+def is_regular_oracle(ctx: Context, f: Transformation) -> bool:
+    """Definitional test: some member g satisfies f g f = f."""
+    return next(_pre_inverse_scan(ctx, f, "omegabar"), None) is not None
 
 
 def is_unit_regular(ctx: Context, f: Transformation) -> RegularityReport:

@@ -73,32 +73,35 @@ class SemigroupEnum:
         return frozenset(f.images for f in self.elements)
 
 
-def enumerate_family(ctx: Context, family: str = "omegabar", budget: int | None = None) -> SemigroupEnum:
-    """Enumerate a family in lexicographic order of image tuples.
-
-    Generation walks per-position candidate lists rather than filtering all
-    n^n maps: positions in Y only ever map into Y, and the two bijective-on-Y
-    families additionally require the Y positions to take distinct values.
-    Every candidate lies in range(n), so the members are not validated again.
-    """
+def _candidates(ctx: Context, family: str) -> list[tuple[int, ...]]:
+    """Each position's images in the family, ascending: Y into Y (in ``fix``, onto itself), the rest anywhere."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+    ys, every = ctx.y_set, tuple(range(ctx.n))
+    return [((x,) if family == "fix" else ys) if x in ctx.y_frozen else every for x in range(ctx.n)]
+
+
+def _generate(ctx: Context, family: str, per_pos: list[tuple[int, ...]], budget: int | None = None):
+    """The family's members in the product of ``per_pos``, lazily, in lexicographic order.
+
+    ``per_pos`` is the family's candidates or a narrowing of them.  The two
+    bijective-on-Y families also need distinct values at the Y positions.  Members
+    are not validated again (every candidate lies in range(n)); the budget is checked first.
+    """
     limit = _resolve_budget(budget)
     if ctx.n > limit:
         raise BudgetError(f"n={ctx.n} exceeds enumeration budget {limit}")
     ys = ctx.y_set
-    yset = ctx.y_frozen
-    per_pos: list[tuple[int, ...]] = []
-    for x in range(ctx.n):
-        if x in yset:
-            per_pos.append((x,) if family == "fix" else ys)
-        else:
-            per_pos.append(tuple(range(ctx.n)))
-    need_distinct = family in ("sbar", "omegabar") and len(ys) > 1  # one Y point is always distinct
     tuples = itertools.product(*per_pos)
-    if need_distinct:
+    if family in ("sbar", "omegabar") and len(ys) > 1:  # one Y point is always distinct
         tuples = (imgs for imgs in tuples if len({imgs[y] for y in ys}) == len(ys))
-    return SemigroupEnum(ctx=ctx, family=family, elements=tuple(map(_trusted, tuples)))
+    return map(_trusted, tuples)
+
+
+def enumerate_family(ctx: Context, family: str = "omegabar", budget: int | None = None) -> SemigroupEnum:
+    """Enumerate a family in lexicographic order of image tuples, from per-position candidate lists."""
+    members = _generate(ctx, family, _candidates(ctx, family), budget)
+    return SemigroupEnum(ctx=ctx, family=family, elements=tuple(members))
 
 
 def units(ctx: Context) -> tuple[Transformation, ...]:

@@ -56,10 +56,9 @@ from .extnat import (
     profile_of,
 )
 from .ideals import ideals_all, is_ideal, j_of_f, j_st, kernel
-from .regularity import is_regular, is_regular_oracle, is_unit_regular, pre_inverses
+from .regularity import _pre_inverse_scan, is_regular, is_regular_oracle, is_unit_regular, pre_inverses
 from .semigroup import (
     GreenOracle,
-    SemigroupEnum,
     d_middle_witness,
     enumerate_family,
     eggbox,
@@ -109,24 +108,60 @@ def _contexts(cfg: VerifyConfig) -> list[tuple[int, tuple[int, ...]]]:
     return out
 
 
+# positions in a map's definitional flags; the flag table shares the 32 possible tuples
+_FLAG = {name: i for i, name in enumerate(("tbar", "omegabar", "sbar", "fix", "unit"))}
+_SHARED_FLAGS = {t: t for t in itertools.product((False, True), repeat=len(_FLAG))}
+
+
+def _definitional_flags(ctx: Context, imgs: tuple[int, ...]) -> tuple[bool, ...]:
+    """The family memberships and unit-ness of a map, read off the definitions without ``classify``."""
+    ys, yset = ctx.y_set, ctx.y_frozen
+    vals = [imgs[y] for y in ys]
+    tbar = all(v in yset for v in vals)
+    omega = tbar and set(vals) == yset
+    sbar = tbar and len(set(vals)) == len(ys)
+    fix = all(imgs[y] == y for y in ys)
+    unit = omega and len(set(imgs)) == len(imgs)
+    return _SHARED_FLAGS[tbar, omega, sbar, fix, unit]
+
+
 class _CtxData:
     """Per-context lazy cache so checks in one shard share the heavy objects."""
 
     def __init__(self, ctx: Context):
         self.ctx = ctx
-        self._enums: dict[str, SemigroupEnum] = {}
+        self._flag_table: list[tuple[bool, ...]] | None = None
+        self._enums: dict[str, tuple[Transformation, ...]] = {}
         self._units: tuple[Transformation, ...] | None = None
         self._oracle: GreenOracle | None = None
         self._ideals = None
         self._eggbox = None
 
-    def family(self, name: str = "omegabar") -> SemigroupEnum:
-        if name not in self._enums:
-            self._enums[name] = enumerate_family(self.ctx, name)
-        return self._enums[name]
-
     def enum(self, family: str = "omegabar") -> tuple[Transformation, ...]:
-        return self.family(family).elements
+        if family not in self._enums:
+            self._enums[family] = enumerate_family(self.ctx, family).elements
+        return self._enums[family]
+
+    def flag_table(self) -> list[tuple[bool, ...]]:
+        """``_definitional_flags`` of every map of X, in lexicographic order, computed once.
+
+        Images (a_0, ..., a_{n-1}) sit at a_0 n^(n-1) + ... + a_{n-1}.  A list costs one
+        pointer per map; a dict keyed by images would keep a tuple per map.
+        """
+        if self._flag_table is None:
+            n = self.ctx.n
+            self._flag_table = [_definitional_flags(self.ctx, imgs) for imgs in itertools.product(range(n), repeat=n)]
+        return self._flag_table
+
+    def flags(self, imgs: tuple[int, ...]) -> tuple[bool, ...]:
+        """``_definitional_flags`` of a map: from the table up to EXHAUSTIVE_MAPS_LIMIT maps of X."""
+        n = self.ctx.n
+        if n**n > EXHAUSTIVE_MAPS_LIMIT:
+            return _definitional_flags(self.ctx, imgs)
+        code = 0
+        for v in imgs:
+            code = code * n + v
+        return self.flag_table()[code]
 
     def units(self) -> tuple[Transformation, ...]:
         if self._units is None:
@@ -186,37 +221,26 @@ def _check_count_family(data: _CtxData, rng: random.Random):
         "fix": n ** (n - k),
     }
     checked = 0
-    listed: dict[str, tuple[Transformation, ...]] = {}
+    sets: dict[str, set[tuple[int, ...]]] = {}
     for family, want in expected.items():
         elems = data.enum(family)
-        listed[family] = elems
         checked += len(elems)
         if len(elems) != want:
             return checked, _ex(data, family=family, got=len(elems), want=want)
         if list(elems) != sorted(elems, key=lambda f: f.images):
             return checked, _ex(data, family=family, detail="not in lexicographic order")
-        if len({f.images for f in elems}) != len(elems):
+        sets[family] = {f.images for f in elems}
+        if len(sets[family]) != len(elems):
             return checked, _ex(data, family=family, detail="duplicate elements")
-    # full completeness oracle: filter every map of X
+    # full completeness oracle: filter every map of X by the definitions
     if n**n <= EXHAUSTIVE_MAPS_LIMIT:
-        seen: dict[str, set[tuple[int, ...]]] = {fam: set() for fam in expected}
-        for imgs in itertools.product(range(n), repeat=n):
-            f = Transformation(imgs)
-            flags = classify(ctx, f)
-            checked += 1
-            if flags.in_tbar:
-                seen["tbar"].add(imgs)
-            if flags.in_omegabar:
-                seen["omegabar"].add(imgs)
-            if flags.in_sbar:
-                seen["sbar"].add(imgs)
-            if flags.in_fix:
-                seen["fix"].add(imgs)
-        for family in expected:
-            if seen[family] != {f.images for f in listed[family]}:
+        table = data.flag_table()
+        checked += len(table)
+        for family, members in sets.items():
+            i = _FLAG[family]
+            if {imgs for imgs, fl in zip(itertools.product(range(n), repeat=n), table) if fl[i]} != members:
                 return checked, _ex(data, family=family, detail="enumeration misses or adds maps")
     # chain of families as sets
-    sets = {fam: {f.images for f in listed[fam]} for fam in expected}
     if not (sets["fix"] <= sets["sbar"] <= sets["omegabar"] <= sets["tbar"]):
         return checked, _ex(data, detail="family chain violated")
     return checked, None
@@ -254,44 +278,32 @@ def _check_assoc(data: _CtxData, rng: random.Random):
 
 
 def _check_closure(data: _CtxData, rng: random.Random):
-    ctx = data.ctx
-    flag = {
-        "tbar": lambda fl: fl.in_tbar,
-        "omegabar": lambda fl: fl.in_omegabar,
-        "sbar": lambda fl: fl.in_sbar,
-        "fix": lambda fl: fl.in_fix,
-    }
     checked = 0
-    for family, getter in flag.items():
+    for family in ("tbar", "omegabar", "sbar", "fix"):
         for f, g in _pair_iter(data, data.enum(family), rng, 3, SAMPLE_PAIRS):
             checked += 1
-            if not getter(classify(ctx, compose(f, g))):
+            if not data.flags(product(f.images, g.images))[_FLAG[family]]:
                 return checked, _ex(data, family=family, f=f, g=g, detail="product left the family")
     return checked, None
 
 
 def _check_membership(data: _CtxData, rng: random.Random):
+    """``classify`` against the definitional flags, on every map of X or on seeded draws."""
     ctx = data.ctx
     n = ctx.n
-    ys, yset = ctx.y_set, set(ctx.y_set)
     checked = 0
     if n**n <= EXHAUSTIVE_MAPS_LIMIT:
-        maps = itertools.product(range(n), repeat=n)
+        cases = zip(itertools.product(range(n), repeat=n), data.flag_table())
     else:
-        maps = (tuple(rng.randrange(n) for _ in range(n)) for _ in range(20_000))
-    for imgs in maps:
+        draws = (tuple(rng.randrange(n) for _ in range(n)) for _ in range(20_000))
+        cases = ((imgs, _definitional_flags(ctx, imgs)) for imgs in draws)
+    for imgs, want in cases:
         f = Transformation(imgs)
         flags = classify(ctx, f)
-        vals = [imgs[y] for y in ys]
-        want_tbar = all(v in yset for v in vals)
-        want_omega = want_tbar and set(vals) == yset
-        want_sbar = want_tbar and len(set(vals)) == len(ys)
-        want_fix = all(imgs[y] == y for y in ys)
-        want_unit = want_omega and len(set(imgs)) == n
         checked += 1
         got = (flags.in_tbar, flags.in_omegabar, flags.in_sbar, flags.in_fix, flags.is_unit_of_omegabar)
-        if got != (want_tbar, want_omega, want_sbar, want_fix, want_unit):
-            return checked, _ex(data, f=f, got=got, want=(want_tbar, want_omega, want_sbar, want_fix, want_unit))
+        if got != want:
+            return checked, _ex(data, f=f, got=got, want=want)
         # over a finite Y, injective-on-Y and onto-Y agree inside tbar
         if flags.in_sbar != flags.in_omegabar:
             return checked, _ex(data, f=f, detail="finite coincidence of sbar and omegabar broken")
@@ -454,8 +466,7 @@ def _check_j_witness(data: _CtxData, rng: random.Random):
             h, h2 = pair
             if compose(h, compose(g, h2)).images != f.images:
                 return checked, _ex(data, f=f, g=g, detail="J witness recomposition")
-            fl1, fl2 = classify(ctx, h), classify(ctx, h2)
-            if not (fl1.in_omegabar and fl2.in_omegabar):
+            if not (data.flags(h.images)[_FLAG["omegabar"]] and data.flags(h2.images)[_FLAG["omegabar"]]):
                 return checked, _ex(data, f=f, g=g, detail="J witness left the family")
     return checked, None
 
@@ -465,7 +476,7 @@ def _check_reg_char(data: _CtxData, rng: random.Random):
     checked = 0
     for f in _member_iter(data, data.enum(), rng, SAMPLE_ELEMENTS):
         checked += 1
-        if is_regular(ctx, f) != is_regular_oracle(ctx, f, data.family()):
+        if is_regular(ctx, f) != is_regular_oracle(ctx, f):
             return checked, _ex(data, f=f, detail="regularity characterization vs search")
     return checked, None
 
@@ -481,7 +492,7 @@ def _check_unit_regular(data: _CtxData, rng: random.Random):
         u = rep.witness_unit
         if compose(f, compose(u, f)).images != f.images:
             return checked, _ex(data, f=f, u=u, detail="unit witness recomposition")
-        if not classify(ctx, u).is_unit_of_omegabar:
+        if not data.flags(u.images)[_FLAG["unit"]]:
             return checked, _ex(data, f=f, u=u, detail="witness is not a unit")
         p = rep.witness_pre_inverse
         if p is None or compose(f, compose(p, f)).images != f.images:
@@ -490,7 +501,7 @@ def _check_unit_regular(data: _CtxData, rng: random.Random):
         first_u = next((v for v in data.units() if product(fi, product(v.images, fi)) == fi), None)
         if u != first_u:
             return checked, _ex(data, f=f, u=u, detail="unit witness is not the first matching unit")
-        first_p = next((g for g in data.enum() if product(fi, product(g.images, fi)) == fi), None)
+        first_p = next(_pre_inverse_scan(ctx, f, "omegabar"), None)
         if p != first_p:
             return checked, _ex(data, f=f, p=p, detail="pre-inverse is not the first matching member")
     return checked, None
@@ -498,18 +509,13 @@ def _check_unit_regular(data: _CtxData, rng: random.Random):
 
 def _check_pre_inverse(data: _CtxData, rng: random.Random):
     ctx = data.ctx
-    enum_tbar = data.family("tbar")
     checked = 0
-    for f in _member_iter(data, data.enum("sbar"), rng, 40):
-        for g in pre_inverses(ctx, f, "tbar", enum=enum_tbar):
-            checked += 1
-            if not classify(ctx, g).in_sbar:
-                return checked, _ex(data, f=f, g=g, detail="pre-inverse escaped sbar")
-    for f in _member_iter(data, data.enum("fix"), rng, 40):
-        for g in pre_inverses(ctx, f, "tbar", enum=enum_tbar):
-            checked += 1
-            if not classify(ctx, g).in_fix:
-                return checked, _ex(data, f=f, g=g, detail="pre-inverse escaped fix")
+    for family in ("sbar", "fix"):
+        for f in _member_iter(data, data.enum(family), rng, 40):
+            for g in pre_inverses(ctx, f, "tbar"):
+                checked += 1
+                if not data.flags(g.images)[_FLAG[family]]:
+                    return checked, _ex(data, f=f, g=g, detail=f"pre-inverse escaped {family}")
     return checked, None
 
 

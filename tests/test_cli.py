@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -357,6 +358,42 @@ def test_transversal_check_catches_a_non_least_certificate(monkeypatch):
     assert ex["detail"] == "certificate is not the least transversal containing Y"
     # reg.unit_regular leaves the certificate to core.transversals
     assert verify._check_unit_regular(data, random.Random(0))[1] is None
+
+
+def test_pre_inverse_check_catches_an_escaped_map(monkeypatch):
+    real = verify.pre_inverses
+    stray = parse_transformation("[0 0 0]")  # carries Y into Y, not injective on Y
+
+    monkeypatch.setattr(verify, "pre_inverses", lambda ctx, f, family: real(ctx, f, family) + (stray,))
+    ex = verify._check_pre_inverse(verify._CtxData(Context(3, (0, 1))), random.Random(0))[1]
+    assert ex["g"] == "[0 0 0]"
+    assert ex["detail"] == "pre-inverse escaped sbar"
+
+
+def test_flag_table_is_indexed_by_images():
+    for ctx in (Context(3, (0,)), Context(4, (1, 3))):
+        data = verify._CtxData(ctx)
+        for imgs in itertools.product(range(ctx.n), repeat=ctx.n):
+            assert data.flags(imgs) == verify._definitional_flags(ctx, imgs), imgs
+
+
+def test_membership_check_catches_a_wrong_classify(monkeypatch):
+    real = verify.classify
+
+    def wrong(ctx, f):
+        flags = real(ctx, f)
+        if f.images == (0, 2, 1):
+            return dataclasses.replace(flags, is_unit_of_omegabar=False)
+        return flags
+
+    monkeypatch.setattr(verify, "classify", wrong)
+    rows = verify._run_context((7, 3, (0,)))
+    failing = {label: ex for label, status, _, ex in rows if status != "pass"}
+    # the other checks read the definitional flags, not classify
+    assert list(failing) == ["core.membership"]
+    ex = failing["core.membership"]
+    assert ex["f"] == "[0 2 1]"
+    assert (ex["got"], ex["want"]) == ("(True, True, True, True, False)", "(True, True, True, True, True)")
 
 
 def test_verify_report_file(tmp_path):
