@@ -31,7 +31,6 @@ from .core import (
 from .errors import BudgetError, DimensionError, DomainError, InvsemiError
 from .extnat import (
     OMEGA,
-    ExtNat,
     FiberProfile,
     IndexedCover,
     as_extnat,

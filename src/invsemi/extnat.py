@@ -1,7 +1,10 @@
 """Naturals extended by a single countable infinity, and fiber-size profiles.
 
-An ExtNat is either a nonnegative int or omega (written ``w`` in text form).
-Arithmetic is absorbing: w + k = w.  Order is total with w on top.
+An extended natural is a nonnegative int or ``OMEGA``, which is
+``math.inf`` and is written ``w`` in text form.  Python's own arithmetic
+gives what the calculus needs: addition absorbs, w + k = w, and the order
+is total with w on top.  ``as_extnat`` is the one validating entry point;
+past it, sizes are used as plain numbers.
 
 A FiberProfile records, per index, the size of one fiber of a map restricted
 to the distinguished subset.  The optional ``rest_ones`` flag means "plus
@@ -33,108 +36,30 @@ from .errors import BudgetError, DimensionError, DomainError
 # (exit 3 from the CLI).  Within it the packing search is bounded-time.
 MAX_EXPLICIT_INDICES = 8
 
+OMEGA = math.inf
 
-def _co(x: object) -> "ExtNat | None":
-    if isinstance(x, ExtNat):
+
+def as_extnat(x: object) -> int | float:
+    """x itself when it is a nonnegative int (not a bool) or OMEGA; DomainError otherwise."""
+    if isinstance(x, int) and not isinstance(x, bool) and x >= 0:
         return x
-    if isinstance(x, int) and not isinstance(x, bool):
-        return ExtNat(x)
-    return None
-
-
-@dataclass(frozen=True, slots=True, eq=False)
-class ExtNat:
-    """A natural number or omega; ``value=None`` encodes omega."""
-
-    value: int | None = 0
-
-    def __post_init__(self) -> None:
-        v = self.value
-        if v is not None and (not isinstance(v, int) or isinstance(v, bool) or v < 0):
-            raise DomainError(f"extended natural must be a nonnegative int or None, got {v!r}")
-
-    @property
-    def is_omega(self) -> bool:
-        return self.value is None
-
-    def __eq__(self, other: object) -> bool:
-        o = _co(other)
-        if o is None:
-            return NotImplemented
-        return self.value == o.value
-
-    def __hash__(self) -> int:
-        return hash(("extnat", self.value))
-
-    def __lt__(self, other: object) -> bool:
-        o = _co(other)
-        if o is None:
-            return NotImplemented
-        if self.is_omega:
-            return False
-        if o.is_omega:
-            return True
-        return self.value < o.value
-
-    def __le__(self, other: object) -> bool:
-        o = _co(other)
-        if o is None:
-            return NotImplemented
-        return self < o or self == o
-
-    def __gt__(self, other: object) -> bool:
-        o = _co(other)
-        if o is None:
-            return NotImplemented
-        return o < self
-
-    def __ge__(self, other: object) -> bool:
-        o = _co(other)
-        if o is None:
-            return NotImplemented
-        return o <= self
-
-    def __add__(self, other: object) -> "ExtNat":
-        o = _co(other)
-        if o is None:
-            return NotImplemented
-        if self.is_omega or o.is_omega:
-            return OMEGA
-        return ExtNat(self.value + o.value)
-
-    __radd__ = __add__
-
-    def __str__(self) -> str:
-        return "w" if self.is_omega else str(self.value)
-
-    def __repr__(self) -> str:
-        return f"ExtNat({self.value!r})"
-
-
-OMEGA = ExtNat(None)
-ZERO = ExtNat(0)
-ONE = ExtNat(1)
-
-
-def as_extnat(x: "ExtNat | int") -> ExtNat:
-    out = _co(x)
-    if out is None:
-        raise DomainError(f"cannot interpret {x!r} as an extended natural")
-    return out
+    if isinstance(x, float) and x == OMEGA:
+        return x
+    raise DomainError(f"cannot interpret {x!r} as an extended natural")
 
 
 @dataclass(frozen=True, slots=True)
 class FiberProfile:
     """Indexed fiber sizes, each at least 1, plus an optional tail of 1s."""
 
-    sizes: tuple[ExtNat, ...]
+    sizes: tuple[int | float, ...]
     rest_ones: bool = False
 
     def __post_init__(self) -> None:
         sizes = tuple(as_extnat(s) for s in self.sizes)
         object.__setattr__(self, "sizes", sizes)
         for s in sizes:
-            if not s >= ONE:
+            if s < 1:
                 raise DomainError(f"fiber size must be at least 1, got {s}")
 
     def __str__(self) -> str:
@@ -192,12 +117,12 @@ def d_condition(p: FiberProfile, q: FiberProfile) -> dict[int, int | None] | Non
         if hit is not None:
             used[hit] = True
             out[i] = hit
-        elif p.rest_ones and s == ONE:
+        elif p.rest_ones and s == 1:
             out[i] = None
         else:
             return None
     for j, u in enumerate(used):
-        if not u and not (q.rest_ones and q.sizes[j] == ONE):
+        if not u and not (q.rest_ones and q.sizes[j] == 1):
             return None
     return out
 
@@ -213,13 +138,13 @@ def matching_is_valid(p: FiberProfile, q: FiberProfile, m: dict[int, int | None]
         return False
     for i, j in m.items():
         if j is None:
-            if not (p.rest_ones and p.sizes[i] == ONE):
+            if not (p.rest_ones and p.sizes[i] == 1):
                 return False
         else:
             if not 0 <= j < len(q.sizes) or q.sizes[j] != p.sizes[i]:
                 return False
     leftover = set(range(len(q.sizes))) - set(picked)
-    return all(q.rest_ones and q.sizes[j] == ONE for j in leftover)
+    return all(q.rest_ones and q.sizes[j] == 1 for j in leftover)
 
 
 def j_condition(p: FiberProfile, q: FiberProfile) -> IndexedCover | None:
@@ -247,15 +172,15 @@ def j_condition(p: FiberProfile, q: FiberProfile) -> IndexedCover | None:
         if p.rest_ones:
             rest_to_rest = True
         else:
-            rest_to_block = next((i for i, s in enumerate(p.sizes) if s.is_omega), None)
+            rest_to_block = next((i for i, s in enumerate(p.sizes) if s == OMEGA), None)
             if rest_to_block is None:
                 return None
     # With a rest tail on the left, explicit 1s on the right go there: each
     # occupies one of infinitely many free slots and can never hurt packing.
-    to_rest = frozenset(j for j in range(m) if p.rest_ones and q.sizes[j] == ONE)
-    entries = [(j, _num(q.sizes[j])) for j in range(m) if j not in to_rest]
+    to_rest = frozenset(j for j in range(m) if p.rest_ones and q.sizes[j] == 1)
+    entries = [(j, q.sizes[j]) for j in range(m) if j not in to_rest]
 
-    assign = _pack(entries, [_num(c) for c in p.sizes])
+    assign = _pack(entries, list(p.sizes))
     if assign is None:
         return None
     blocks = tuple(
@@ -266,15 +191,10 @@ def j_condition(p: FiberProfile, q: FiberProfile) -> IndexedCover | None:
     )
 
 
-def _num(x: ExtNat) -> float:
-    """The plain number the packing search works on: an int, or inf for omega."""
-    return math.inf if x.is_omega else x.value
-
-
 def _pack(entries: list[tuple[int, float]], caps: list[float]) -> dict[int, int] | None:
     """First assignment of entries (index, size) to bins of capacity caps, or None.
 
-    Sizes and capacities are ints, with inf for omega: an omega entry fits
+    Sizes and capacities are extended naturals: an omega entry fits
     only an omega bin, and an omega bin takes any load.  When entries and
     bins are all finite and exactly tight, the first-fit-decreasing
     assignment is returned if there is one.  Otherwise the answer is the
@@ -289,13 +209,13 @@ def _pack(entries: list[tuple[int, float]], caps: list[float]) -> dict[int, int]
         return {}
     sizes = [s for _, s in entries]
     # all finite (an omega entry would make the load infinite) and tight
-    if math.inf not in caps and sum(sizes) == sum(caps):
+    if OMEGA not in caps and sum(sizes) == sum(caps):
         greedy = _first_fit(sorted(entries, key=lambda e: (-e[1], e[0])), caps)
         if greedy is not None:
             return greedy
-    if math.inf in caps:
+    if OMEGA in caps:
         return _first_fit(entries, caps)
-    if math.inf in sizes:  # an omega entry fits no finite bin
+    if OMEGA in sizes:  # an omega entry fits no finite bin
         return None
     free = list(caps)
     failed: set[tuple] = set()
@@ -371,7 +291,7 @@ def _first_fit(entries: list[tuple[int, float]], caps: list[float]) -> dict[int,
         b = next((i for i, r in enumerate(room) if s <= r), None)
         if b is None:
             return None
-        if room[b] < math.inf:  # an omega bin's room stays infinite
+        if room[b] < OMEGA:  # an omega bin's room stays infinite; w - w is nan
             room[b] -= s
         assign[j] = b
     return assign
@@ -389,7 +309,7 @@ def cover_is_valid(p: FiberProfile, q: FiberProfile, cover: IndexedCover) -> boo
         return False
     if cover.to_rest and not p.rest_ones:
         return False
-    if any(q.sizes[j] != ONE for j in cover.to_rest):
+    if any(q.sizes[j] != 1 for j in cover.to_rest):
         return False
     if cover.rest_to_rest and not (q.rest_ones and p.rest_ones):
         return False
@@ -402,22 +322,20 @@ def cover_is_valid(p: FiberProfile, q: FiberProfile, cover: IndexedCover) -> boo
     elif cover.rest_to_rest or cover.rest_to_block is not None:
         return False
     for i in range(k):
-        load: ExtNat = ZERO
-        for j in cover.blocks[i]:
-            load = load + q.sizes[j]
+        load = sum(q.sizes[j] for j in cover.blocks[i])
         if cover.rest_to_block == i:
-            load = load + OMEGA
+            load += OMEGA
         if not load <= p.sizes[i]:
             return False
     return True
 
 
-def n_value(p: FiberProfile, ambient: "ExtNat | int") -> ExtNat:
+def n_value(p: FiberProfile, ambient: int | float) -> int | float:
     """How many indexed fibers are strictly smaller than the ambient size."""
     amb = as_extnat(ambient)
-    if p.rest_ones and ONE < amb:
+    if p.rest_ones and 1 < amb:
         return OMEGA
-    return ExtNat(sum(1 for s in p.sizes if s < amb))
+    return sum(1 for s in p.sizes if s < amb)
 
 
 def profile_of(ctx, f) -> FiberProfile:
@@ -432,7 +350,7 @@ def profile_of(ctx, f) -> FiberProfile:
         raise DomainError(f"{f} does not carry Y onto Y; profile undefined")
     ys = ctx.y_set
     counts = [sum(1 for z in ys if f.images[z] == y) for y in ys]
-    return FiberProfile(tuple(ExtNat(c) for c in counts))
+    return FiberProfile(tuple(counts))
 
 
 # --- text form --------------------------------------------------------------
@@ -440,7 +358,7 @@ def profile_of(ctx, f) -> FiberProfile:
 
 
 def format_profile(p: FiberProfile) -> str:
-    body = "[" + " ".join(str(s) for s in p.sizes) + "]"
+    body = "[" + " ".join("w" if s == OMEGA else str(s) for s in p.sizes) + "]"
     return body + "+rest1" if p.rest_ones else body
 
 
@@ -452,13 +370,13 @@ def parse_profile(text: str) -> FiberProfile:
         s = s[: -len("+rest1")].strip()
     if not (s.startswith("[") and s.endswith("]")):
         raise ValueError(f"expected profile like '[w 1 1]' or '[w]+rest1', got {text!r}")
-    sizes: list[ExtNat] = []
+    sizes: list[int | float] = []
     for tok in s[1:-1].replace(",", " ").split():
         if tok == "w":
             sizes.append(OMEGA)
         else:
             try:
-                sizes.append(ExtNat(int(tok)))
+                sizes.append(as_extnat(int(tok)))
             except (ValueError, DomainError):
                 raise ValueError(f"bad profile entry {tok!r} in {text!r}") from None
     try:

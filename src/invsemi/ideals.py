@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 
 from .core import Context, Transformation, identity, image_deficit, product
-from .extnat import ExtNat, as_extnat, n_value, profile_of
+from .extnat import as_extnat, n_value, profile_of
 from .semigroup import _generate, _require_member, enumerate_family, j_below_holds
 
 _images = attrgetter("images")
@@ -128,13 +128,13 @@ def ideals_all(ctx: Context) -> tuple[IdealSet, ...]:
     return tuple(out)
 
 
-def j_st(ctx: Context, s: "ExtNat | int", t: int) -> IdealSet:
+def j_st(ctx: Context, s: int | float, t: int) -> IdealSet:
     """Members with at most s small fibers over Y and image deficit at most t."""
     s_val = as_extnat(s)
     if not isinstance(t, int) or isinstance(t, bool) or not 0 <= t <= ctx.n - len(ctx.y_set):
         raise ValueError(f"deficit threshold t must lie in 0..{ctx.n - len(ctx.y_set)}, got {t!r}")
     # every member's profile over a finite Y is all ones, like the identity's
-    small = n_value(profile_of(ctx, identity(ctx.n)), ExtNat(len(ctx.y_set)))
+    small = n_value(profile_of(ctx, identity(ctx.n)), len(ctx.y_set))
     members = tuple(
         f
         for f in enumerate_family(ctx, "omegabar").elements

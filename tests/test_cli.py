@@ -224,6 +224,28 @@ def test_profile_json(capsys):
     assert doc["pack_p_into_q"] is not None
 
 
+def test_profile_cli_outputs_match_recorded_digest(capsys):
+    # SHA-256 of the concatenated stdout of `profile p q` over every ordered
+    # pair of 24 profiles with one or two sizes from {1, 2, w}, with and
+    # without a rest tail, json then text; pairs whose index sets cannot be
+    # in bijection ask for --j only.  Pins how w and +rest1 are printed.
+    recorded = json.loads((Path(__file__).parent / "data" / "profile_cli_sha256.json").read_text())
+    pool = [
+        "[" + " ".join(sizes) + "]" + tail
+        for k in (1, 2)
+        for sizes in itertools.product("12w", repeat=k)
+        for tail in ("", "+rest1")
+    ]
+    digest = hashlib.sha256()
+    for p, q in itertools.product(pool, repeat=2):
+        rest = p.endswith("+rest1")
+        comparable = rest == q.endswith("+rest1") and (rest or p.count(" ") == q.count(" "))
+        for fmt in ("json", "text"):
+            assert main(["profile", p, q, "--format", fmt] + ([] if comparable else ["--j"])) == 0
+            digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == recorded["sha256"]
+
+
 def test_profile_rejects_invalid_cover(monkeypatch):
     # the independent check of every printed cover is a raise, not an
     # assert, so it also runs under python -O
