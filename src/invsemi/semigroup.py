@@ -8,9 +8,11 @@ to comparing image deficits.  The GreenOracle decides the same questions
 straight from the definitions, on the left and right Cayley graphs of a
 generating set of the enumerated semigroup (the method of Froidure and Pin,
 1997): one-sided divisibility is reachability, and the classes are strongly
-connected components.  Its products are taken on raw image tuples.  The two
-flavors are kept separate on purpose: tests compare them and neither side is
-allowed to peek at the other.
+connected components.  Its products are taken on raw image tuples, for the
+right graph only; the left graph follows from the right one by
+associativity, and each graph's components are found on the first query
+that needs them.  The two flavors are kept separate on purpose: tests compare
+them and neither side is allowed to peek at the other.
 """
 
 from __future__ import annotations
@@ -314,31 +316,41 @@ def d_middle_witness(ctx: Context, f: Transformation, g: Transformation) -> Tran
 # --- definitional oracle ------------------------------------------------------
 
 
-def _greedy_generators(tuples: list[tuple[int, ...]], index: dict) -> tuple[list[int], list[list[int]]]:
-    """A generating set of the family and its right Cayley graph, as member indices.
+def _cayley_graphs(tuples: list[tuple[int, ...]], index: dict) -> tuple[list[int], list[list[int]], list[list[int]]]:
+    """A generating set of the family and its right and left Cayley graphs, as member indices.
 
     Members are walked by descending image size, then in index order; each one
     not yet in the closure becomes a generator, and every member of the closure
     is multiplied on the right by every generator once: ``right[v]`` lists v
     times each generator.  A product outside the family raises KeyError.
+    Each member w is first reached as u a, from a member u and the generator at
+    position a (a generator is its own u = -1).  The left graph takes no
+    product (Froidure and Pin): b (u a) = (b u) a, so ``left[w][b]`` is
+    ``right[left[u][b]][a]``, filled in closure order once every row of
+    ``right`` is complete.
     """
     m = len(tuples)
-    gens, right, seen, closure = [], [[] for _ in range(m)], bytearray(m), []
+    gens, right, seen, closure, via = [], [[] for _ in range(m)], bytearray(m), [], []
     for g in sorted(range(m), key=lambda i: (-len(set(tuples[i])), i)):
         if seen[g]:
             continue
-        gens.append(g)
         seen[g] = 1
         closure.append(g)
+        via.append((-1, len(gens)))
+        gens.append(g)
         for v in closure:  # grows while it is walked
             row, x = right[v], tuples[v]
-            for a in gens[len(row) :]:
-                w = index[product(x, tuples[a])]
+            for a in range(len(row), len(gens)):
+                w = index[product(x, tuples[gens[a]])]
                 row.append(w)
                 if not seen[w]:
                     seen[w] = 1
                     closure.append(w)
-    return gens, right
+                    via.append((v, a))
+    left: list[list[int]] = [[] for _ in range(m)]
+    for w, (u, a) in zip(closure, via):
+        left[w] = [right[bu][a] for bu in (gens if u < 0 else left[u])]
+    return gens, right, left
 
 
 def _components(succ: list[list[int]]) -> tuple[list[int], list[int]]:
@@ -392,12 +404,14 @@ class GreenOracle:
     """Green's relations from the definitions, on the Cayley graphs of the family.
 
     On first use (``_products``; ``_left`` stays None until then) a greedy
-    generating set is taken; a product outside the family is an error.  The
-    family is a monoid generated by that set, so f <=_R g (f = g h for a
-    member h) is reachability from g in the right Cayley graph (x -> x a per
-    generator a), f <=_L g in the left one (x -> a x) and f <=_J g in their
-    union.  L, R and J are the strongly connected components; the middle of
-    D is the first member of L(f) and R(g).
+    generating set is taken and the right Cayley graph multiplied out; a
+    product outside the family is an error.  The left graph follows from the
+    right one by associativity, without a product.  The family is a monoid
+    generated by that set, so f <=_R g (f = g h for a member h) is
+    reachability from g in the right Cayley graph (x -> x a per generator a),
+    f <=_L g in the left one (x -> a x) and f <=_J g in their union.  L, R and
+    J are the strongly connected components, each graph's found on the first
+    query that needs them; the middle of D is the first member of L(f) and R(g).
     """
 
     def __init__(self, ctx: Context, budget: int = DEFAULT_ORACLE_BUDGET):
@@ -406,9 +420,10 @@ class GreenOracle:
         self.ctx = ctx
         self.elements = enumerate_family(ctx, "omegabar").elements
         self._index = {f.images: i for i, f in enumerate(self.elements)}
+        self._left = self._right = None  # adjacency lists
         # per graph (left, right, union): the component of each member, and reach
-        self._left = self._right = self._two = None
-        self._middles: dict[tuple[int, int], int] = {}
+        self._graphs: list[tuple[list[int], list[int]] | None] = [None, None, None]
+        self._middles: dict[tuple[int, int], int] | None = None
         self._generators: tuple[Transformation, ...] = ()
 
     def _id(self, f: Transformation) -> int:
@@ -417,22 +432,26 @@ class GreenOracle:
         except KeyError:
             raise DomainError(f"{f} is not a member over {self.ctx}") from None
 
-    def _products(self) -> tuple[tuple[list[int], list[int]], ...]:
-        """The left, right and union graphs' (components, reach), built on the first call."""
+    def _products(self) -> tuple[list[list[int]], list[list[int]]]:
+        """The left and right Cayley graphs as adjacency lists, built on the first call."""
         if self._left is None:
-            tuples, index = [f.images for f in self.elements], self._index
+            tuples = [f.images for f in self.elements]
             try:
-                gens, right = _greedy_generators(tuples, index)
-                left = [[index[product(tuples[a], x)] for a in gens] for x in tuples]
+                gens, right, left = _cayley_graphs(tuples, self._index)
             except KeyError as e:
                 raise RuntimeError(f"product {Transformation(e.args[0])} leaves the family over {self.ctx}") from None
-            graphs = _components(left), _components(right)
-            for w, key in enumerate(zip(graphs[0][0], graphs[1][0])):
-                self._middles.setdefault(key, w)
             self._generators = tuple(self.elements[a] for a in gens)
-            self._two = _components([lx + rx for lx, rx in zip(left, right)])
-            self._left, self._right = graphs
-        return self._left, self._right, self._two
+            self._right, self._left = right, left
+        return self._left, self._right
+
+    def _graph(self, graph: int) -> tuple[list[int], list[int]]:
+        """The left (0), right (1) or union (2) graph's (components, reach), found on the first call."""
+        found = self._graphs[graph]
+        if found is None:
+            left, right = self._products()
+            succ = [lx + rx for lx, rx in zip(left, right)] if graph == 2 else (left, right)[graph]
+            found = self._graphs[graph] = _components(succ)
+        return found
 
     @property
     def generators(self) -> tuple[Transformation, ...]:
@@ -441,11 +460,11 @@ class GreenOracle:
         return self._generators
 
     def _below(self, graph: int, f: Transformation, g: Transformation) -> bool:
-        comp, reach = self._products()[graph]
+        comp, reach = self._graph(graph)
         return bool(reach[comp[self._id(g)]] >> comp[self._id(f)] & 1)
 
     def _same(self, graph: int, f: Transformation, g: Transformation) -> bool:
-        comp = self._products()[graph][0]
+        comp = self._graph(graph)[0]
         return comp[self._id(f)] == comp[self._id(g)]
 
     def l_below(self, f: Transformation, g: Transformation) -> bool:
@@ -468,8 +487,12 @@ class GreenOracle:
 
     def d_middle(self, f: Transformation, g: Transformation) -> Transformation | None:
         """The first member w with f L w and w R g, or None."""
-        left, right, _ = self._products()
-        w = self._middles.get((left[0][self._id(f)], right[0][self._id(g)]))
+        left, right = self._graph(0)[0], self._graph(1)[0]
+        if self._middles is None:
+            self._middles = {}
+            for w, key in enumerate(zip(left, right)):
+                self._middles.setdefault(key, w)
+        w = self._middles.get((left[self._id(f)], right[self._id(g)]))
         return None if w is None else self.elements[w]
 
     def d_related(self, f: Transformation, g: Transformation) -> bool:

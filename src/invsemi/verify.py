@@ -26,7 +26,6 @@ import math
 import os
 import random
 from dataclasses import dataclass
-from multiprocessing import get_context as _mp_context
 
 from . import core
 from .core import (
@@ -133,6 +132,7 @@ class _CtxData:
         self._enums: dict[str, tuple[Transformation, ...]] = {}
         self._units: tuple[Transformation, ...] | None = None
         self._oracle: GreenOracle | None = None
+        self._ideal_verdicts: dict[frozenset[tuple[int, ...]], bool] = {}
         self._ideals = None
         self._eggbox = None
 
@@ -203,8 +203,14 @@ def _member_iter(data: _CtxData, elems, rng: random.Random, count: int):
 
 
 def _ideal_holds(data: _CtxData, members) -> bool:
-    """``is_ideal``, multiplying by the oracle's generators: exact at every n, 2·|I|·|gens| products."""
-    return is_ideal(data.ctx, members, by=data.oracle().generators)
+    """``is_ideal``, multiplying by the oracle's generators: exact at every n, 2·|I|·|gens| products.
+
+    ``is_ideal`` is pure, so each distinct set of members is decided once per context.
+    """
+    key = frozenset(f.images for f in members)
+    if key not in data._ideal_verdicts:
+        data._ideal_verdicts[key] = is_ideal(data.ctx, members, by=data.oracle().generators)
+    return data._ideal_verdicts[key]
 
 
 # --- context-scoped checks ---------------------------------------------------
@@ -917,7 +923,9 @@ def run_verify(cfg: VerifyConfig) -> dict:
     shard_args = [(cfg.seed, n, ys) for n, ys in ctxs]
     procs = pool_size(cfg.jobs, len(shard_args))
     if procs > 1:
-        with _mp_context("fork").Pool(processes=procs) as pool:
+        from multiprocessing import get_context  # only a pooled run pays for the import
+
+        with get_context("fork").Pool(processes=procs) as pool:
             shard_rows = pool.map(_run_context, shard_args)
     else:
         shard_rows = [_run_context(a) for a in shard_args]

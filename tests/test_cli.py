@@ -328,6 +328,16 @@ def test_verify_pool_size_is_clamped():
             pool_size(bad, 10)
 
 
+def test_cli_import_leaves_multiprocessing_out():
+    # only a pooled verify needs a process pool; every other command skips its import
+    r = subprocess.run(
+        [sys.executable, "-c", "import invsemi.cli, sys; sys.exit('multiprocessing' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert r.returncode == 0, r.stderr or "multiprocessing imported with invsemi.cli"
+
+
 def test_verify_jobs_below_one_exits_2():
     assert main(["verify", "--max-n", "1", "--jobs", "0"]) == 2
     assert main(["verify", "--max-n", "1", "--jobs", "-3"]) == 2

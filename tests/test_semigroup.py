@@ -17,12 +17,15 @@ from invsemi import (
     Transformation,
     classify,
     compose,
+    core,
     identity,
     parse_transformation,
 )
+from invsemi.core import product
 from invsemi.semigroup import (
     FAMILIES,
     GreenOracle,
+    _cayley_graphs,
     d_middle_witness,
     d_related,
     eggbox,
@@ -328,34 +331,69 @@ def _all_contexts(max_n):
                 yield Context(n, ys)
 
 
+def _closure(gens):
+    """Every product of ``gens``, by compose: the member set they generate."""
+    closure = {g.images for g in gens}
+    frontier = list(closure)
+    while frontier:
+        x = frontier.pop()
+        for a in gens:
+            y = compose(Transformation(x), a).images
+            if y not in closure:
+                closure.add(y)
+                frontier.append(y)
+    return closure
+
+
 def test_cayley_oracle_matches_table_oracle():
     # every pair in every context with n <= 4, and at (5,{0,1}): 8 queries,
-    # `related` for each relation, and the first middle
+    # `related` for each relation, and the first middle; then fresh oracles
+    # whose first question is each relation, the middle or the generators,
+    # since each builds only what its first question needs.  Both product
+    # orders: the table multiplies by compose, which honours flip-compose.
     methods = ("l_below", "r_below", "j_below", "l_related", "r_related", "h_related", "d_related", "j_related")
-    for ctx in [*_all_contexts(4), Context(5, (0, 1))]:
-        oracle, table = GreenOracle(ctx), _TableOracle(ctx)
-        assert oracle.elements == table.elements
-        for f, g in itertools.product(table.elements, repeat=2):
-            for name in methods:
-                assert getattr(oracle, name)(f, g) == getattr(table, name)(f, g), (ctx, name, f, g)
-            for rel in ("L", "R", "H", "D", "J"):
-                assert oracle.related(rel, f, g) == getattr(table, f"{rel.lower()}_related")(f, g), (ctx, rel, f, g)
-            assert oracle.d_middle(f, g) == table.d_middle(f, g), (ctx, f, g)
+    for mutation in (None, "flip-compose"):
+        core._set_mutation(mutation)
+        try:
+            for ctx in [*_all_contexts(4), Context(5, (0, 1))]:
+                oracle, table = GreenOracle(ctx), _TableOracle(ctx)
+                assert oracle.elements == table.elements
+                for f, g in itertools.product(table.elements, repeat=2):
+                    for name in methods:
+                        assert getattr(oracle, name)(f, g) == getattr(table, name)(f, g), (mutation, ctx, name, f, g)
+                    for rel in ("L", "R", "H", "D", "J"):
+                        want = getattr(table, f"{rel.lower()}_related")(f, g)
+                        assert oracle.related(rel, f, g) == want, (mutation, ctx, rel, f, g)
+                    assert oracle.d_middle(f, g) == table.d_middle(f, g), (mutation, ctx, f, g)
+                elems = table.elements
+                for f, g in ((elems[0], elems[0]), (elems[-1], elems[0]), (elems[len(elems) // 3], elems[-1])):
+                    for rel in ("L", "R", "H", "D", "J"):
+                        want = getattr(table, f"{rel.lower()}_related")(f, g)
+                        assert GreenOracle(ctx).related(rel, f, g) == want, (mutation, ctx, rel, f, g)
+                    assert GreenOracle(ctx).d_middle(f, g) == table.d_middle(f, g), (mutation, ctx, f, g)
+                gens = GreenOracle(ctx).generators
+                assert gens == oracle.generators, (mutation, ctx)
+                assert _closure(gens) == {f.images for f in elems}, (mutation, ctx)
+        finally:
+            core._set_mutation(None)
+
+
+def test_cayley_left_graph_equals_multiplied_one_n_le_5():
+    for mutation in (None, "flip-compose"):
+        core._set_mutation(mutation)
+        try:
+            for ctx in _all_contexts(5):
+                tuples = [f.images for f in enumerate_family(ctx).elements]
+                index = {t: i for i, t in enumerate(tuples)}
+                gens, _, left = _cayley_graphs(tuples, index)
+                assert left == [[index[product(tuples[a], x)] for a in gens] for x in tuples], (mutation, ctx)
+        finally:
+            core._set_mutation(None)
 
 
 def test_oracle_generators_close_to_the_family_n_le_5():
     for ctx in _all_contexts(5):
-        gens = GreenOracle(ctx).generators
-        closure = {g.images for g in gens}
-        frontier = list(closure)
-        while frontier:
-            x = frontier.pop()
-            for a in gens:
-                y = compose(Transformation(x), a).images
-                if y not in closure:
-                    closure.add(y)
-                    frontier.append(y)
-        assert closure == enumerate_family(ctx).as_set(), ctx
+        assert _closure(GreenOracle(ctx).generators) == enumerate_family(ctx).as_set(), ctx
 
 
 def test_oracle_rejects_product_outside_family(monkeypatch):
