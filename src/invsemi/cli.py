@@ -10,14 +10,15 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
+from operator import itemgetter
 
 from .core import (
     Context,
     classify,
     format_transformation,
     image_deficit,
+    indented_json,
     parse_transformation,
     parse_y,
 )
@@ -29,7 +30,7 @@ from .extnat import (
     parse_profile,
     profile_of,
 )
-from .ideals import ideals_all, kernel
+from .ideals import _images, ideals_all, kernel
 from .regularity import is_unit_regular
 from .semigroup import (
     GreenOracle,
@@ -65,7 +66,7 @@ def cmd_enum(args) -> int:
             "count": len(enum.elements),
             "elements": list(map(format_transformation, enum.elements)),
         }
-        print(json.dumps(doc, indent=2))
+        print(indented_json(doc))
     else:
         lines = [f"count={len(enum.elements)}", *map(format_transformation, enum.elements)]
         sys.stdout.write("\n".join(lines) + "\n")
@@ -119,7 +120,7 @@ def cmd_classify(args) -> int:
             print(f"is_regular={str(reg['is_regular']).lower()}")
             print(f"is_unit_regular={str(reg['is_unit_regular']).lower()}")
     else:
-        print(json.dumps(doc, indent=2))
+        print(indented_json(doc))
     return 0
 
 
@@ -162,7 +163,7 @@ def cmd_green(args) -> int:
             w["d_middle"] = str(middle) if middle else None
         doc["witnesses"] = w
     if args.format == "json":
-        print(json.dumps(doc, indent=2))
+        print(indented_json(doc))
     else:
         print(f"related={str(related).lower()}")
         if doc["oracle"] is not None:
@@ -179,28 +180,30 @@ def cmd_eggbox(args) -> int:
     if args.format == "dot":
         sys.stdout.write(eggbox_dot(box))
     elif args.format == "json":
-        print(json.dumps(eggbox_json(box), indent=2))
+        print(indented_json(eggbox_json(box)))
     else:
         sys.stdout.write(eggbox_text(box))
     return 0
 
 
 def _ideal_docs(ctx: Context, ideals) -> list[dict]:
-    """One document per ideal; a member shared by several is formatted, and its deficit taken, once."""
-    seen: dict[tuple[int, ...], tuple[str, int]] = {}
+    """One document per ideal; a member shared by several is formatted, and its deficit taken, once.
+
+    One table maps a member to (text, image size); Y lies inside, so the deficit is the size less |Y|.
+    """
+    seen: dict = {}  # images -> member, over all the ideals
+    for ideal in ideals:
+        seen.update(zip(map(_images, ideal.members), ideal.members))
+    row_of = dict(zip(seen, zip(map(format_transformation, seen.values()), map(len, map(set, seen)))))
+    del seen  # released early: at n = 6 the tables of this call set the peak memory of a process
     docs = []
     for ideal in ideals:
-        rows = []
-        for f in ideal.members:
-            row = seen.get(f.images)
-            if row is None:
-                row = seen[f.images] = (format_transformation(f), image_deficit(ctx, f))
-            rows.append(row)
+        rows = list(map(row_of.__getitem__, map(_images, ideal.members)))
         docs.append(
             {
                 "size": len(rows),
-                "t": max((t for _, t in rows), default=None),
-                "members": [text for text, _ in rows],
+                "t": max(map(itemgetter(1), rows)) - len(ctx.y_set) if rows else None,
+                "members": list(map(itemgetter(0), rows)),
                 "warning": ideal.warning,
             }
         )
@@ -223,7 +226,7 @@ def cmd_ideals(args) -> int:
             lines.extend(f"  {m}" for m in d["members"])
         sys.stdout.write("\n".join(lines) + "\n")
     else:
-        print(json.dumps(doc, indent=2))
+        print(indented_json(doc))
     return 0
 
 
@@ -235,7 +238,7 @@ def cmd_kernel(args) -> int:
         lines = [f"size={doc['size']} t={doc['t']}", *(f"  {m}" for m in doc["members"])]
         sys.stdout.write("\n".join(lines) + "\n")
     else:
-        print(json.dumps(doc, indent=2))
+        print(indented_json(doc))
     return 0
 
 
@@ -267,7 +270,7 @@ def cmd_profile(args) -> int:
         doc["pack_q_into_p"] = _cover_doc(p, q)
         doc["pack_p_into_q"] = _cover_doc(q, p)
     if args.format == "json":
-        print(json.dumps(doc, indent=2))
+        print(indented_json(doc))
     else:
         if want_d:
             print(f"d={str(doc['d'] is not None).lower()}")

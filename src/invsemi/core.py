@@ -14,7 +14,9 @@ computed independently so the coincidence can be checked, not assumed.
 
 There is one product, ``product``, on raw image tuples.  The definitional
 searches multiply tuples with it and build a Transformation only for what
-they return; ``compose`` is its dimension-checked wrapper.
+they return; ``compose`` is its dimension-checked wrapper.  One itemgetter
+reads a product and one cached ``str.format`` writes a bracket form, both in C;
+``indented_json`` writes indented JSON without the stdlib's Python encoder.
 
 Image tuples are validated where maps enter from outside the program: the
 public ``Transformation(...)`` constructor, ``parse_transformation`` and
@@ -26,8 +28,10 @@ product of two maps of one size, or the members that ``enumerate_family`` and
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .errors import DimensionError, DomainError
 
@@ -166,8 +170,8 @@ def product(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     a flipped composition flips every product, searches and ``compose`` alike.
     """
     if _MUTATION == "flip-compose":
-        return tuple([a[v] for v in b])
-    return tuple([b[v] for v in a])
+        a, b = b, a
+    return itemgetter(*a)(b) if len(a) > 1 else (b[a[0]],)  # one index would give a scalar
 
 
 def compose(f: Transformation, g: Transformation) -> Transformation:
@@ -183,9 +187,9 @@ def compose(f: Transformation, g: Transformation) -> Transformation:
 
 def carries_y(ctx: Context, f: Transformation) -> bool:
     """Whether Yf = Y, the membership test of the Y-onto-Y family."""
-    if f.n != ctx.n:
-        raise DimensionError(f"map on {f.n} points in a context with n={ctx.n}")
-    return {f.images[y] for y in ctx.y_set} == ctx.y_frozen
+    if len(f.images) != ctx.n:
+        raise DimensionError(f"map on {len(f.images)} points in a context with n={ctx.n}")
+    return set(map(f.images.__getitem__, ctx.y_set)) == ctx.y_frozen
 
 
 def classify(ctx: Context, f: Transformation) -> MembershipFlags:
@@ -259,8 +263,13 @@ def refines(
 # Bracket form for maps: "[1 0 0]".  Y on the command line: "0,1".
 
 
+@functools.cache
+def _bracket_format(n: int):
+    return ("[" + " ".join(["{}"] * n) + "]").format
+
+
 def format_transformation(f: Transformation) -> str:
-    return "[" + " ".join(map(str, f.images)) + "]"
+    return _bracket_format(len(f.images))(*f.images)
 
 
 def parse_transformation(text: str) -> Transformation:
@@ -296,6 +305,36 @@ def transformation_from_json(obj: dict | str) -> Transformation:
     return f
 
 
+_quote = json.encoder.encode_basestring_ascii  # what json.dumps quotes strings with; in C
+
+
+def indented_json(doc, pad: str = "") -> str:
+    """``json.dumps`` of doc with an indent of 2, byte for byte, each container one join.
+
+    Takes str, int, bool, None, lists, tuples and dicts with str keys; any other
+    type raises TypeError.  ``pad`` is the indent of the enclosing line.  An
+    f-string around the join copies the body once, where ``+`` would copy it four times.
+    """
+    if isinstance(doc, str):
+        return _quote(doc)
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if isinstance(doc, dict):
+        items = [f"{k}: {indented_json(v, inner)}" for k, v in zip(map(_quote, doc), doc.values())]
+        return f"{{\n{inner}{sep.join(items)}\n{pad}}}" if items else "{}"
+    if isinstance(doc, (list, tuple)):
+        try:
+            items = list(map(_quote, doc))  # a list of strings, the usual case
+        except TypeError:
+            items = [indented_json(v, inner) for v in doc]
+        return f"[\n{inner}{sep.join(items)}\n{pad}]" if items else "[]"
+    if doc is None or isinstance(doc, bool):
+        return "null" if doc is None else "true" if doc else "false"
+    if isinstance(doc, int):
+        return int.__repr__(doc)
+    raise TypeError(f"Object of type {type(doc).__name__} is not JSON serializable")
+
+
 def parse_y(text: str) -> tuple[int, ...]:
     try:
         return tuple(sorted({int(tok) for tok in text.replace(",", " ").split()}))
@@ -305,6 +344,6 @@ def parse_y(text: str) -> tuple[int, ...]:
 
 def image_deficit(ctx: Context, f: Transformation) -> int:
     """|Xf \\ Y|, the number of image points outside Y."""
-    if f.n != ctx.n:
-        raise DimensionError(f"map on {f.n} points in a context with n={ctx.n}")
-    return len(f.image() - ctx.y_frozen)
+    if len(f.images) != ctx.n:
+        raise DimensionError(f"map on {len(f.images)} points in a context with n={ctx.n}")
+    return len(set(f.images) - ctx.y_frozen)

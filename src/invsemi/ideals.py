@@ -90,13 +90,13 @@ def is_ideal(ctx: Context, subset, by=None) -> bool:
 def j_classes(ctx: Context) -> tuple[tuple[Transformation, ...], ...]:
     """Partition of the family under mutual two-sided divisibility.
 
-    Over a finite Y that is equality of image deficits; classes come in order
-    of their first member.
+    Over a finite Y that is equality of image deficits, a member's image size
+    less |Y|; classes come in order of their first member.
     """
-    yset = ctx.y_frozen
+    ny = len(ctx.y_set)
     classes: dict[int, list[Transformation]] = {}
     for f in enumerate_family(ctx, "omegabar").elements:
-        classes.setdefault(len(f.image() - yset), []).append(f)
+        classes.setdefault(len(set(f.images)) - ny, []).append(f)
     return tuple(tuple(c) for c in classes.values())
 
 

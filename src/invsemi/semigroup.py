@@ -137,14 +137,14 @@ def l_related(ctx: Context, f: Transformation, g: Transformation) -> bool:
     return f.image() == g.image()
 
 
-def _r_key(yset: frozenset[int], f: Transformation) -> tuple[tuple[int, bool], ...]:
-    """For each point, the least point of its fiber and whether that fiber lies over Y.
+def _r_key(yset: frozenset[int], f: Transformation) -> tuple[tuple[int, ...], frozenset[int]]:
+    """For each point, the least point of its fiber; and the least points of the fibers over Y.
 
     Two maps have equal keys exactly when they have the same kernel and the
-    same fibers sitting over Y.
+    same fibers sitting over Y.  Only image points are looked up, so any map has a key.
     """
-    least: dict[int, int] = {}
-    return tuple((least.setdefault(v, x), v in yset) for x, v in enumerate(f.images))
+    least = f.images.index
+    return tuple(map(least, f.images)), frozenset(map(least, yset.intersection(f.images)))
 
 
 def r_related(ctx: Context, f: Transformation, g: Transformation) -> bool:
@@ -542,15 +542,15 @@ def eggbox(ctx: Context) -> EggBox:
 
     One pass puts each member into its (deficit, R key, L key) cell, with the
     keys r_related and l_related compare; the deficit is read off the same
-    image set as the L key.  Members come in lexicographic order, so rows and
-    columns appear in order of their least member and every cell is already
-    sorted.
+    image set as the L key, which contains Y.  Members come in lexicographic
+    order, so rows and columns appear in order of their least member and every
+    cell is already sorted.
     """
-    yset = ctx.y_frozen
+    yset, ny = ctx.y_frozen, len(ctx.y_set)
     by_d: dict[int, dict[tuple, list[Transformation]]] = {}
     for f in enumerate_family(ctx, "omegabar").elements:
         img = f.image()
-        by_d.setdefault(len(img - yset), {}).setdefault((_r_key(yset, f), img), []).append(f)
+        by_d.setdefault(len(img) - ny, {}).setdefault((_r_key(yset, f), img), []).append(f)
 
     grids: list[DClassGrid] = []
     for deficit in sorted(by_d, reverse=True):
@@ -568,10 +568,7 @@ def eggbox(ctx: Context) -> EggBox:
         grids.append(DClassGrid(deficit=deficit, cells=tuple(cells)))
 
     reps = [grid.cells[0][0].elements[0] for grid in grids]
-    pairs = []
-    for i, j in itertools.permutations(range(len(grids)), 2):
-        if j_below_holds(ctx, reps[i], reps[j]):
-            pairs.append((i, j))
+    pairs = [(i, j) for i, j in itertools.permutations(range(len(grids)), 2) if j_below_holds(ctx, reps[i], reps[j])]
     return EggBox(ctx=ctx, d_classes=tuple(grids), j_below_pairs=tuple(pairs))
 
 

@@ -35,6 +35,7 @@ from .core import (
     compose,
     identity,
     image_deficit,
+    indented_json,
     kernel_partition,
     parse_transformation,
     product,
@@ -967,7 +968,7 @@ def run_verify(cfg: VerifyConfig) -> dict:
 
 
 def render_report_json(report: dict) -> str:
-    return json.dumps(report, indent=2) + "\n"
+    return indented_json(report) + "\n"
 
 
 def render_report_text(report: dict) -> str:

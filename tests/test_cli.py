@@ -12,8 +12,9 @@ from pathlib import Path
 
 import pytest
 
-from invsemi import Context, classify, compose, kernel_partition, parse_transformation, verify
+from invsemi import Context, classify, cli, compose, kernel_partition, parse_transformation, verify
 from invsemi.cli import build_parser, main
+from invsemi.core import indented_json
 from invsemi.ideals import ideals_all
 from invsemi.verify import VerifyConfig, pool_size, run_verify
 
@@ -191,16 +192,37 @@ def test_ideals_json(capsys):
 
 
 def test_family_cli_outputs_match_recorded_digests(capsys):
-    # SHA-256 of stdout of enum (all four families, text), ideals and kernel
-    # (json and text) on two contexts at n = 6 and two at n = 5, recorded from
-    # the code that validated every enumerated member and rendered a member
-    # once for each ideal holding it
+    # SHA-256 of stdout of enum (all four families, text and json), ideals and
+    # kernel (json and text) on two contexts at n = 6 and two at n = 5,
+    # recorded from the code that validated every enumerated member and
+    # rendered a member once for each ideal holding it; the enum json rows
+    # from the code that printed through the standard library's JSON encoder
     recorded = json.loads((Path(__file__).parent / "data" / "family_cli_sha256.json").read_text())
-    assert len(recorded) == 4 * (4 + 4)
+    assert len(recorded) == 4 * (4 + 4 + 4)
     for row in recorded:
         assert main(row["argv"]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == row["sha256"], row["argv"]
+
+
+def test_json_writer_equals_stdlib_on_family_pin_documents(monkeypatch, capsys):
+    # every document the family pins print as json goes through the one writer,
+    # which must give json.dumps's bytes for it
+    printed = []
+
+    def checked(doc):
+        text = indented_json(doc)
+        assert text == json.dumps(doc, indent=2)
+        printed.append(doc)
+        return text
+
+    monkeypatch.setattr(cli, "indented_json", checked)
+    recorded = json.loads((Path(__file__).parent / "data" / "family_cli_sha256.json").read_text())
+    rows = [row for row in recorded if row["argv"][-1] == "json"]
+    for row in rows:
+        assert main(row["argv"]) == 0
+        capsys.readouterr()
+    assert len(printed) == len(rows) == 4 * (4 + 2)
 
 
 def test_kernel_json(capsys):

@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import itertools
+import json
 import pickle
 import random
 
@@ -30,7 +31,7 @@ from invsemi import (
     transformation_to_json,
 )
 from invsemi import core
-from invsemi.core import fibers, product
+from invsemi.core import fibers, indented_json, product
 
 T = parse_transformation
 C31 = Context(3, (0, 1))
@@ -104,6 +105,21 @@ def test_product_flips_under_mutation():
     finally:
         core._set_mutation(None)
     assert product(a, b) == (1, 0, 0)
+
+
+def test_product_is_the_definition_n_le_3():
+    # x (a b) = b[a[x]]; flipped, a[b[x]]; n = 1 included, where an itemgetter returns a scalar
+    for n in (1, 2, 3):
+        maps = list(itertools.product(range(n), repeat=n))
+        pairs = list(itertools.product(maps, repeat=2))
+        for a, b in pairs:
+            assert product(a, b) == tuple(b[a[x]] for x in range(n))
+        core._set_mutation("flip-compose")
+        try:
+            for a, b in pairs:
+                assert product(a, b) == tuple(a[b[x]] for x in range(n))
+        finally:
+            core._set_mutation(None)
 
 
 def test_classify_flags():
@@ -239,6 +255,58 @@ def test_parse_y():
 def test_image_deficit():
     assert image_deficit(C31, T("[0 1 0]")) == 0
     assert image_deficit(C31, T("[0 1 2]")) == 1
+
+
+def test_carries_y_and_image_deficit_are_the_set_definitions_n_le_4():
+    for n in range(1, 5):
+        maps = [Transformation(imgs) for imgs in itertools.product(range(n), repeat=n)]
+        for r in range(1, n + 1):
+            for ys in itertools.combinations(range(n), r):
+                ctx = Context(n, ys)
+                for f in maps:
+                    assert carries_y(ctx, f) == ({f.images[y] for y in ys} == set(ys))
+                    assert image_deficit(ctx, f) == len({v for v in f.images if v not in ys})
+    for call in (carries_y, image_deficit):
+        with pytest.raises(DimensionError, match="map on 2 points in a context with n=3"):
+            call(C31, T("[0 1]"))
+        with pytest.raises(DimensionError, match="map on 4 points in a context with n=3"):
+            call(C31, T("[0 1 2 3]"))
+
+
+JSON_CORPUS = [
+    [],
+    {},
+    [[]],
+    [{}],
+    {"a": [], "b": {}, "c": [[], {}]},
+    (),
+    (1, (2, ()), ["x"]),
+    [[[["deep"]]]],
+    "",
+    'quote " and backslash \\ and slash /',
+    "control \x00 \x01 \x1f \t \n \r \x7f",
+    "non-ASCII: é ω ∞ 𝔖 \u2028",
+    [True, 1, False, 0, None],
+    {"t": True, "one": 1, "f": False, "zero": 0, "none": None},
+    [-1, -(2**70), 2**64, 2**64 + 1, 10**30],
+    ["[0 1 2]", "[1 0 2]", 3, ["[2 2 2]"]],
+    {"é": "ω", "": "", 'k"ey': {"nested": [1, "two", [3, [4]]]}},
+    0,
+    -7,
+    True,
+    None,
+]
+
+
+@pytest.mark.parametrize("doc", JSON_CORPUS, ids=range(len(JSON_CORPUS)))
+def test_indented_json_is_the_stdlib_encoder(doc):
+    assert indented_json(doc) == json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize("doc", [1.5, [0.0], {"x": float("inf")}, {1, 2}, [frozenset()], {1: "int key"}])
+def test_indented_json_rejects_other_types(doc):
+    with pytest.raises(TypeError):
+        indented_json(doc)
 
 
 def test_associativity_exhaustive_small():

@@ -19,13 +19,16 @@ from invsemi import (
     compose,
     core,
     identity,
+    kernel_partition,
     parse_transformation,
 )
+from invsemi.cli import main
 from invsemi.core import product
 from invsemi.semigroup import (
     FAMILIES,
     GreenOracle,
     _cayley_graphs,
+    _r_key,
     d_middle_witness,
     d_related,
     eggbox,
@@ -436,21 +439,47 @@ def test_eggbox_partitions_family():
         assert deficits == sorted(deficits, reverse=True)
 
 
-def test_eggbox_outputs_match_recorded_digests():
+def test_r_key_partition_is_kernel_and_fibers_over_y_n_le_4():
+    # equal keys exactly when the kernels and the fibers over Y are equal, on every
+    # member; a non-member gets a key too, instead of a ValueError
+    for n in range(1, 5):
+        maps = [Transformation(imgs) for imgs in itertools.product(range(n), repeat=n)]
+        for r in range(1, n + 1):
+            for ys in itertools.combinations(range(n), r):
+                ctx = Context(n, ys)
+                members = enumerate_family(ctx).elements
+                keys = [_r_key(ctx.y_frozen, f) for f in members]
+                defs = []
+                for f in members:
+                    kp = kernel_partition(f)
+                    defs.append((kp.blocks, kp.fibers_over(ctx.y_frozen)))
+                assert len(set(keys)) == len(set(defs)) == len(set(zip(keys, defs)))
+                outside = [f for f in maps if not classify(ctx, f).in_omegabar]
+                for f in outside:
+                    _r_key(ctx.y_frozen, f)
+
+
+def test_eggbox_outputs_match_recorded_digests(capsys):
     # SHA-256 of the text, JSON and DOT forms for every context with n <= 5,
     # and n = 6 with |Y| <= 2, recorded from the per-row, per-column layout
-    # that the one-pass grouping replaced
+    # that the one-pass grouping replaced; the JSON digest also pins the CLI's
+    # own printing path, whose stdout is that text and a newline
     recorded = json.loads((Path(__file__).parent / "data" / "eggbox_sha256.json").read_text())
     assert len(recorded) == 57 + 21  # 2^n - 1 subsets Y for n = 1..5, then 6 + 15 at n = 6
     for row in recorded:
         box = eggbox(Context(row["n"], tuple(row["y"])))
+        assert main(["eggbox", "--n", str(row["n"]), "--y", ",".join(map(str, row["y"])), "--format", "json"]) == 0
+        out = capsys.readouterr().out
+        assert out.endswith("}\n")
         got = {
             "text": eggbox_text(box),
             "json": json.dumps(eggbox_json(box), indent=2),
             "dot": eggbox_dot(box),
+            "cli json": out[:-1],
         }
         for form, text in got.items():
-            assert hashlib.sha256(text.encode()).hexdigest() == row[form], (row["n"], row["y"], form)
+            want = row[form.removeprefix("cli ")]
+            assert hashlib.sha256(text.encode()).hexdigest() == want, (row["n"], row["y"], form)
 
 
 def test_idempotent_cells_are_groups():
