@@ -11,7 +11,6 @@ exhibited on a desk.
 
 from .core import (
     Context,
-    KernelPartition,
     MembershipFlags,
     Transformation,
     carries_y,
@@ -20,10 +19,8 @@ from .core import (
     format_transformation,
     identity,
     image_deficit,
-    kernel_partition,
     parse_transformation,
     parse_y,
-    refines,
     restrict_to_y,
     transformation_from_json,
     transformation_to_json,

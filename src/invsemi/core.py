@@ -146,23 +146,6 @@ class MembershipFlags:
         assert not self.is_unit_of_omegabar or self.in_omegabar
 
 
-@dataclass(frozen=True, slots=True)
-class KernelPartition:
-    """The fibers of a transformation: blocks sorted by least element.
-
-    ``block_images[i]`` is the common image of ``blocks[i]``, so the partition
-    can answer which fibers sit over any query set of image points.
-    """
-
-    blocks: tuple[frozenset[int], ...]
-    block_images: tuple[int, ...]
-
-    def fibers_over(self, points: frozenset[int] | set[int]) -> tuple[frozenset[int], ...]:
-        """The sub-collection of fibers whose image point lies in ``points``."""
-        pts = set(points)
-        return tuple(b for b, v in zip(self.blocks, self.block_images) if v in pts)
-
-
 def product(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     """Left-to-right product of image tuples of equal length: x (a b) = b[a[x]].
 
@@ -232,7 +215,7 @@ def restrict_to_y(ctx: Context, f: Transformation) -> Transformation:
 
 
 def fibers(f: Transformation) -> dict[int, list[int]]:
-    """Each image point of f mapped to its ascending preimages.
+    """Each image point of f mapped to its ascending preimages, the blocks of f's kernel.
 
     Keys come in order of their least preimage, as the points are visited.
     """
@@ -240,23 +223,6 @@ def fibers(f: Transformation) -> dict[int, list[int]]:
     for x, v in enumerate(f.images):
         out.setdefault(v, []).append(x)
     return out
-
-
-def kernel_partition(f: Transformation) -> KernelPartition:
-    """The partition of the domain into fibers of f."""
-    by_image = fibers(f)  # already in order of least element
-    return KernelPartition(
-        blocks=tuple(frozenset(xs) for xs in by_image.values()),
-        block_images=tuple(by_image),
-    )
-
-
-def refines(
-    finer: tuple[frozenset[int], ...] | list[frozenset[int]],
-    coarser: tuple[frozenset[int], ...] | list[frozenset[int]],
-) -> bool:
-    """True when every block of ``finer`` sits inside some block of ``coarser``."""
-    return all(any(a <= b for b in coarser) for a in finer)
 
 
 # --- text and JSON forms ---------------------------------------------------

@@ -1,15 +1,16 @@
 """Two-sided ideals of the Y-onto-Y family.
 
 The down-set of any nonempty subset under two-sided divisibility is an
-ideal, every ideal arises that way, and all of them can be listed by brute
-force over down-sets of J-classes.  The family is a monoid, so a subset I
-is an ideal as soon as SI and IS lie inside I: the products h f h2 then stay
-inside too, and the definitional test needs no pair (h, h2).  The threshold
-sets j_st carve members by two numbers: how many fibers over Y are smaller
-than Y itself, and how many image points fall outside Y.  Over a finite Y
-the first threshold is degenerate (every fiber of a bijection on Y is a
-singleton), which j_st reports through a warning instead of pretending the
-cut is interesting.
+ideal, and every ideal arises that way.  Over a finite Y that order is the
+image-deficit order, a chain, so the ideals are the deficit chain: the
+n - |Y| + 1 cuts of the members of deficit at most t.  The family is a
+monoid, so a subset I is an ideal as soon as SI and IS lie inside I: the
+products h f h2 then stay inside too, and the definitional test needs no
+pair (h, h2).  The threshold sets j_st carve members by two numbers: how
+many fibers over Y are smaller than Y itself, and how many image points
+fall outside Y.  Over a finite Y the first threshold is degenerate (every
+fiber of a bijection on Y is a singleton), which j_st reports through a
+warning instead of pretending the cut is interesting.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from operator import attrgetter
 
 from .core import Context, Transformation, identity, image_deficit, product
 from .extnat import as_extnat, n_value, profile_of
-from .semigroup import _generate, _require_member, enumerate_family, j_below_holds
+from .semigroup import _generate, _require_member, enumerate_family
 
 _images = attrgetter("images")
 
@@ -51,6 +52,21 @@ def _checked_subset(ctx: Context, subset) -> tuple[Transformation, ...]:
     return tuple(sorted(fs, key=lambda f: f.images))
 
 
+def _by_deficit(ctx: Context) -> list[list[Transformation]]:
+    """The members by image deficit 0..n-|Y|, each bucket in lexicographic order, from one enumeration."""
+    ny = len(ctx.y_set)
+    buckets: list[list[Transformation]] = [[] for _ in range(ctx.n - ny + 1)]
+    for f in enumerate_family(ctx, "omegabar").elements:
+        buckets[len(set(f.images)) - ny].append(f)
+    return buckets
+
+
+def _cut(ctx: Context, t: int) -> tuple[Transformation, ...]:
+    """The members of image deficit at most t, in lexicographic order."""
+    bound = t + len(ctx.y_set)
+    return tuple(f for f in enumerate_family(ctx, "omegabar").elements if len(set(f.images)) <= bound)
+
+
 def j_of_f(ctx: Context, subset) -> IdealSet:
     """The divisibility down-set of a nonempty subset: all f below some g.
 
@@ -59,9 +75,7 @@ def j_of_f(ctx: Context, subset) -> IdealSet:
     deficit among the g.
     """
     gens = _checked_subset(ctx, subset)
-    bound = max(image_deficit(ctx, g) for g in gens)
-    members = tuple(f for f in enumerate_family(ctx, "omegabar").elements if image_deficit(ctx, f) <= bound)
-    return IdealSet(ctx=ctx, members=members)
+    return IdealSet(ctx=ctx, members=_cut(ctx, max(image_deficit(ctx, g) for g in gens)))
 
 
 def is_ideal(ctx: Context, subset, by=None) -> bool:
@@ -93,38 +107,22 @@ def j_classes(ctx: Context) -> tuple[tuple[Transformation, ...], ...]:
     Over a finite Y that is equality of image deficits, a member's image size
     less |Y|; classes come in order of their first member.
     """
-    ny = len(ctx.y_set)
-    classes: dict[int, list[Transformation]] = {}
-    for f in enumerate_family(ctx, "omegabar").elements:
-        classes.setdefault(len(set(f.images)) - ny, []).append(f)
-    return tuple(tuple(c) for c in classes.values())
+    return tuple(sorted(map(tuple, _by_deficit(ctx)), key=lambda c: c[0].images))
 
 
 def ideals_all(ctx: Context) -> tuple[IdealSet, ...]:
-    """Every ideal, by brute force over down-sets of J-classes, smallest first.
+    """Every ideal: the deficit chain, smallest first.
 
-    Each class is already in lexicographic order, so an ideal's members are
-    the merge of its classes: one sort of their concatenation, which Timsort
-    does by merging the sorted runs.
+    Each cut is the one below it merged with the next deficit bucket, one sort
+    of their concatenation that Timsort does by merging the two sorted runs,
+    so the cuts share their members.
     """
-    classes = j_classes(ctx)
-    reps = [c[0] for c in classes]
-    k = len(classes)
-    below = [[j_below_holds(ctx, reps[i], reps[j]) for j in range(k)] for i in range(k)]
     out: list[IdealSet] = []
-    for mask in range(1, 1 << k):
-        chosen = [i for i in range(k) if mask >> i & 1]
-        closed = all(
-            i in chosen
-            for j in chosen
-            for i in range(k)
-            if below[i][j]
-        )
-        if not closed:
-            continue
-        members = tuple(sorted([f for i in chosen for f in classes[i]], key=_images))
-        out.append(IdealSet(ctx=ctx, members=members))
-    out.sort(key=lambda s: (len(s.members), list(map(_images, s.members))))
+    members: list[Transformation] = []
+    for bucket in _by_deficit(ctx):
+        members += bucket
+        members.sort(key=_images)
+        out.append(IdealSet(ctx=ctx, members=tuple(members)))
     return tuple(out)
 
 
@@ -135,11 +133,7 @@ def j_st(ctx: Context, s: int | float, t: int) -> IdealSet:
         raise ValueError(f"deficit threshold t must lie in 0..{ctx.n - len(ctx.y_set)}, got {t!r}")
     # every member's profile over a finite Y is all ones, like the identity's
     small = n_value(profile_of(ctx, identity(ctx.n)), len(ctx.y_set))
-    members = tuple(
-        f
-        for f in enumerate_family(ctx, "omegabar").elements
-        if small <= s_val and image_deficit(ctx, f) <= t
-    )
+    members = _cut(ctx, t) if small <= s_val else ()
     warning = None
     if not members:
         warning = (

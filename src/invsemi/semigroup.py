@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass
+from operator import ne
 
 from .core import (
     Context,
@@ -31,9 +32,7 @@ from .core import (
     format_transformation,
     identity,
     image_deficit,
-    kernel_partition,
     product,
-    refines,
 )
 from .errors import BudgetError, DomainError
 
@@ -137,21 +136,23 @@ def l_related(ctx: Context, f: Transformation, g: Transformation) -> bool:
     return f.image() == g.image()
 
 
-def _r_key(yset: frozenset[int], f: Transformation) -> tuple[tuple[int, ...], frozenset[int]]:
-    """For each point, the least point of its fiber; and the least points of the fibers over Y.
+def _r_key(f: Transformation) -> tuple[int, ...]:
+    """For each point, the least point of its fiber: equal keys, equal kernels.
 
-    Two maps have equal keys exactly when they have the same kernel and the
-    same fibers sitting over Y.  Only image points are looked up, so any map has a key.
+    Only image points are looked up, so any map has a key.
     """
-    least = f.images.index
-    return tuple(map(least, f.images)), frozenset(map(least, yset.intersection(f.images)))
+    return tuple(map(f.images.index, f.images))
 
 
 def r_related(ctx: Context, f: Transformation, g: Transformation) -> bool:
-    """Same kernel, and the same fibers sitting over Y."""
+    """Same kernel.
+
+    The fibers over Y need no comparison of their own: for a member, Yf = Y
+    makes them exactly the kernel blocks that meet Y.
+    """
     _require_member(ctx, f)
     _require_member(ctx, g)
-    return _r_key(ctx.y_frozen, f) == _r_key(ctx.y_frozen, g)
+    return _r_key(f) == _r_key(g)
 
 
 def h_related(ctx: Context, f: Transformation, g: Transformation) -> bool:
@@ -210,20 +211,17 @@ def l_below_witness(ctx: Context, f: Transformation, g: Transformation) -> Trans
 def r_below_witness(ctx: Context, f: Transformation, g: Transformation) -> Transformation | None:
     """Lexicographically least h in the family with (g then h) = f, or None.
 
-    Exists iff the fibers of g refine the fibers of f, both globally and in
-    the sub-collections sitting over Y.
+    Exists iff g's fibers refine f's, that is, f is constant on every g-fiber;
+    h then carries Y onto Y, because the g-fibers over Y are the kernel blocks
+    that meet Y.
     """
     _require_member(ctx, f)
     _require_member(ctx, g)
-    pf, pg = kernel_partition(f), kernel_partition(g)
-    yset = ctx.y_frozen
-    if not refines(pg.blocks, pf.blocks):
-        return None
-    if not refines(pg.fibers_over(yset), pf.fibers_over(yset)):
+    if any(map(ne, f.images, map(f.images.__getitem__, _r_key(g)))):
         return None
     imgs = [0] * ctx.n  # points outside Xg are free; 0 is the least choice
-    for block, v in zip(pg.blocks, pg.block_images):
-        imgs[v] = f.images[min(block)]  # f is constant on each g-fiber
+    for v, block in fibers(g).items():
+        imgs[v] = f.images[block[0]]
     h = Transformation(tuple(imgs))
     assert compose(g, h).images == f.images, "witness failed recomposition"
     assert carries_y(ctx, h)
@@ -291,9 +289,9 @@ def d_middle_witness(ctx: Context, f: Transformation, g: Transformation) -> Tran
     """Lexicographically least m in the family with f L m and m R g, or None.
 
     Exists iff f and g have equal image deficits.  Such an m is constant on
-    g's fibers, sends the fibers over Y onto Y and the others onto Xf minus Y;
-    taking the fibers in order of least element and giving each the least
-    unused point of its kind yields the least m.
+    g's fibers, sends the kernel blocks that meet Y onto Y and the others onto
+    Xf minus Y; taking the blocks in order of least element and giving each
+    the least unused point of its kind yields the least m.
     """
     _require_member(ctx, f)
     _require_member(ctx, g)
@@ -303,9 +301,8 @@ def d_middle_witness(ctx: Context, f: Transformation, g: Transformation) -> Tran
     on_y = iter(ctx.y_set)
     off_y = iter(sorted(f.image() - yset))
     imgs = [0] * ctx.n
-    part = kernel_partition(g)
-    for block, v in zip(part.blocks, part.block_images):
-        point = next(on_y if v in yset else off_y)
+    for v, block in fibers(g).items():
+        point = next(on_y if v in yset else off_y)  # g's blocks over Y are those that meet Y
         for x in block:
             imgs[x] = point
     m = Transformation(tuple(imgs))
@@ -498,6 +495,22 @@ class GreenOracle:
     def d_related(self, f: Transformation, g: Transformation) -> bool:
         return self.d_middle(f, g) is not None
 
+    def j_down_sets(self) -> list[frozenset[tuple[int, ...]]]:
+        """Every nonempty down-set of the J-components, as the image tuples of its members.
+
+        A down-set is the union of the principal ones below its components, so
+        the unions of ``reach`` masks, grown one principal down-set at a time,
+        are all of them, each found with one union per component.
+        """
+        comp, reach = self._graph(2)
+        masks = set(reach)
+        todo = list(masks)
+        while todo:
+            for grown in {todo.pop() | r for r in reach} - masks:
+                masks.add(grown)
+                todo.append(grown)
+        return [frozenset(f.images for f, c in zip(self.elements, comp) if mask >> c & 1) for mask in sorted(masks)]
+
     def j_related(self, f: Transformation, g: Transformation) -> bool:
         return self._same(2, f, g)
 
@@ -546,11 +559,11 @@ def eggbox(ctx: Context) -> EggBox:
     order, so rows and columns appear in order of their least member and every
     cell is already sorted.
     """
-    yset, ny = ctx.y_frozen, len(ctx.y_set)
+    ny = len(ctx.y_set)
     by_d: dict[int, dict[tuple, list[Transformation]]] = {}
     for f in enumerate_family(ctx, "omegabar").elements:
         img = f.image()
-        by_d.setdefault(len(img) - ny, {}).setdefault((_r_key(yset, f), img), []).append(f)
+        by_d.setdefault(len(img) - ny, {}).setdefault((_r_key(f), img), []).append(f)
 
     grids: list[DClassGrid] = []
     for deficit in sorted(by_d, reverse=True):

@@ -33,10 +33,10 @@ from .core import (
     Transformation,
     classify,
     compose,
+    fibers,
     identity,
     image_deficit,
     indented_json,
-    kernel_partition,
     parse_transformation,
     product,
     restrict_to_y,
@@ -351,7 +351,7 @@ def _check_transversals(data: _CtxData, rng: random.Random):
     ]
     checked = 0
     for f in _member_iter(data, data.enum(), rng, 40):
-        blocks = kernel_partition(f).blocks
+        blocks = [*map(frozenset, fibers(f).values())]
         want = min(
             (t for t in all_subsets if ctx.y_frozen <= t and all(len(t & b) == 1 for b in blocks)),
             key=lambda t: tuple(sorted(t)),
@@ -551,6 +551,7 @@ def _check_ideal_down_sets(data: _CtxData, rng: random.Random):
 
 
 def _check_ideal_enumerate(data: _CtxData, rng: random.Random):
+    """The deficit chain is every ideal: the oracle's down-sets of its J-order, as sets of members."""
     ctx = data.ctx
     found = data.ideals()
     n, k = ctx.n, len(ctx.y_set)
@@ -561,6 +562,8 @@ def _check_ideal_enumerate(data: _CtxData, rng: random.Random):
     for a, b in zip(sets, sets[1:]):
         if not a <= b:
             return checked, _ex(data, detail="ideals do not form a chain")
+    if set(sets) != set(data.oracle().j_down_sets()):
+        return checked, _ex(data, detail="ideals differ from the oracle's J down-sets")
     for ideal in found:
         if ctx.n >= 5 and len(ideal.members) > 150:
             # only the two small ideals are checked here, bigger ones at n <= 4;

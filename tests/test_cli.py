@@ -12,9 +12,9 @@ from pathlib import Path
 
 import pytest
 
-from invsemi import Context, classify, cli, compose, kernel_partition, parse_transformation, verify
+from invsemi import Context, classify, cli, compose, parse_transformation, verify
 from invsemi.cli import build_parser, main
-from invsemi.core import indented_json
+from invsemi.core import fibers, indented_json
 from invsemi.ideals import ideals_all
 from invsemi.verify import VerifyConfig, pool_size, run_verify
 
@@ -94,7 +94,7 @@ def test_classify_past_enumeration_cap(capsys):
     assert compose(f, compose(p, f)) == f
     t = set(reg["certifying_transversal"])
     assert set(ctx.y_set) <= t
-    assert all(len(t & b) == 1 for b in kernel_partition(f).blocks)
+    assert all(len(t.intersection(b)) == 1 for b in fibers(f).values())
 
 
 def test_classify_unit(capsys):
@@ -132,17 +132,17 @@ def test_green_witness_lines(capsys):
 
 
 def test_green_d_middle_past_enumeration_cap(capsys):
-    ys = frozenset({0, 2})
+    ctx = Context(7, (0, 2))
     f, g = parse_transformation("[2 5 0 5 6 0 1]"), parse_transformation("[0 3 2 4 4 5 3]")
     assert main(["green", "--n", "7", "--y", "0,2", "--rel", "D", "--witness",
                  "--f", str(f), "--g", str(g)]) == 0
     kv = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
     assert kv["related"] == "true"
     m = parse_transformation(kv["d_middle"])
-    pm, pg = kernel_partition(m), kernel_partition(g)
+    # a member with f's image and g's kernel; its fibers over Y are then g's too
+    assert classify(ctx, m).in_omegabar
     assert m.image() == f.image()
-    assert frozenset(pm.blocks) == frozenset(pg.blocks)
-    assert set(pm.fibers_over(ys)) == set(pg.fibers_over(ys))
+    assert list(fibers(m).values()) == list(fibers(g).values())
 
 
 def test_green_unrelated(capsys):

@@ -20,12 +20,10 @@ from invsemi import (
     identity,
     image_deficit,
     j_of_f,
-    kernel_partition,
     l_related,
     parse_transformation,
     parse_y,
     profile_of,
-    refines,
     restrict_to_y,
     transformation_from_json,
     transformation_to_json,
@@ -186,17 +184,11 @@ def test_restrict_to_y():
         restrict_to_y(C31, T("[2 1 0]"))  # 0 leaves Y
 
 
-def test_kernel_partition():
-    kp = kernel_partition(T("[0 1 0]"))
-    assert frozenset(kp.blocks) == frozenset({frozenset({0, 2}), frozenset({1})})
-    kp = kernel_partition(identity(3))
-    assert frozenset(kp.blocks) == frozenset({frozenset({0}), frozenset({1}), frozenset({2})})
-    # sub-collection of fibers over the points of Xf inside the query set
-    kp = kernel_partition(T("[1 0 1]"))
-    assert set(kp.fibers_over({0, 1})) == {frozenset({1}), frozenset({0, 2})}
-    # blocks come in order of least element, each with its image point
-    assert kp.blocks == (frozenset({0, 2}), frozenset({1}))
-    assert kp.block_images == (1, 0)
+def test_fibers():
+    assert list(fibers(T("[0 1 0]")).values()) == [[0, 2], [1]]
+    assert list(fibers(identity(3)).values()) == [[0], [1], [2]]
+    # blocks come in order of least element, each keyed by its image point
+    assert list(fibers(T("[1 0 1]")).items()) == [(1, [0, 2]), (0, [1])]
     assert list(fibers(T("[2 0 2 1]")).items()) == [(2, [0, 2]), (0, [1]), (1, [3])]
 
 
@@ -209,15 +201,18 @@ def test_injective_iff_surjective_finite():
             assert injective == surjective
 
 
-def test_refines():
-    assert refines([{0}, {2}], [{0, 2}, {1}])
-    assert not refines([{0, 1}], [{0}, {1}])
-    kernels = [frozenset(kernel_partition(Transformation(imgs)).blocks) for imgs in itertools.product(range(3), repeat=3)]
-    for blocks in kernels:
-        assert refines(blocks, blocks)
-    # on partitions, mutual refinement is plain equality
-    for a, b in itertools.product(kernels, repeat=2):
-        assert (refines(a, b) and refines(b, a)) == (a == b)
+def test_kernel_refinement_on_fibers():
+    # g's fibers refine f's (each inside one of f's) exactly when f is constant
+    # on every g-fiber; on kernels, mutual refinement is plain equality
+    maps = [Transformation(imgs) for imgs in itertools.product(range(3), repeat=3)]
+    kernels = {f: frozenset(map(frozenset, fibers(f).values())) for f in maps}
+    for f in maps:
+        assert sorted(x for block in kernels[f] for x in block) == [0, 1, 2]
+    for f, g in itertools.product(maps, repeat=2):
+        refined = all(any(a <= b for b in kernels[f]) for a in kernels[g])
+        assert refined == all(len({f.images[x] for x in block}) == 1 for block in fibers(g).values())
+        mutual = refined and all(any(a <= b for b in kernels[g]) for a in kernels[f])
+        assert mutual == (kernels[f] == kernels[g])
 
 
 def test_parse_format_roundtrip():

@@ -1,6 +1,7 @@
 """Two-sided ideals: down-set closure, enumeration, threshold sets, kernel."""
 
 import itertools
+import random
 
 import pytest
 
@@ -12,12 +13,12 @@ from invsemi import (
     Transformation,
     compose,
     identity,
-    image_deficit,
     n_value,
     parse_profile,
     parse_transformation,
+    verify,
 )
-from invsemi.ideals import ideals_all, is_ideal, j_classes, j_of_f, j_st, kernel
+from invsemi.ideals import IdealSet, ideals_all, is_ideal, j_classes, j_of_f, j_st, kernel
 from invsemi.extnat import j_condition
 from invsemi.semigroup import GreenOracle, eggbox, enumerate_family
 
@@ -138,23 +139,37 @@ def test_ideals_all_frozen_counts():
     assert [len(i) for i in ideals_all(Context(2, (0, 1)))] == [2]
 
 
-def test_ideal_count_is_chain_length():
-    for n in (1, 2, 3, 4):
+def test_ideals_are_the_oracle_down_sets_n_le_5():
+    # the deficit chain against the down-sets of the oracle's J-order, read off
+    # the Cayley graphs without image deficits
+    for n in range(1, 6):
         for r in range(1, n + 1):
-            ctx = Context(n, tuple(range(r)))
-            found = ideals_all(ctx)
-            assert len(found) == n - r + 1
-            sets = [i.as_set() for i in found]
-            for a, b in zip(sets, sets[1:]):
-                assert a < b
-            # each one is exactly a deficit threshold set
-            for t, ideal in enumerate(found):
-                want = {
-                    f.images
-                    for f in enumerate_family(ctx)
-                    if image_deficit(ctx, f) <= t
-                }
-                assert ideal.as_set() == want
+            for ys in itertools.combinations(range(n), r):
+                ctx = Context(n, ys)
+                found = [ideal.as_set() for ideal in ideals_all(ctx)]
+                down_sets = GreenOracle(ctx).j_down_sets()
+                assert len(found) == len(down_sets) == n - r + 1, ctx
+                assert set(found) == set(down_sets), ctx
+                assert all(a < b for a, b in zip(found, found[1:])), ctx  # smallest first
+
+
+def _out_of_y_chain(ctx):
+    # nested, n - |Y| + 1 of them, but not ideals: "at most t points of X\Y map outside Y"
+    def outside(f):
+        return sum(f.images[x] not in ctx.y_frozen for x in ctx.x_minus_y)
+
+    elems = enumerate_family(ctx).elements
+    k = len(ctx.y_set)
+    return tuple(
+        IdealSet(ctx=ctx, members=tuple(f for f in elems if outside(f) <= t)) for t in range(ctx.n - k + 1)
+    )
+
+
+def test_ideal_check_catches_an_out_of_y_chain(monkeypatch):
+    ctx = Context(6, (0, 1))
+    monkeypatch.setattr(verify, "ideals_all", _out_of_y_chain)
+    checked, ex = verify._check_ideal_enumerate(verify._CtxData(ctx), random.Random(0))
+    assert ex is not None and ex["detail"] == "ideals differ from the oracle's J down-sets"
 
 
 def test_every_ideal_is_its_own_down_set():

@@ -19,11 +19,10 @@ from invsemi import (
     compose,
     core,
     identity,
-    kernel_partition,
     parse_transformation,
 )
 from invsemi.cli import main
-from invsemi.core import product
+from invsemi.core import fibers, product
 from invsemi.semigroup import (
     FAMILIES,
     GreenOracle,
@@ -439,24 +438,22 @@ def test_eggbox_partitions_family():
         assert deficits == sorted(deficits, reverse=True)
 
 
-def test_r_key_partition_is_kernel_and_fibers_over_y_n_le_4():
-    # equal keys exactly when the kernels and the fibers over Y are equal, on every
-    # member; a non-member gets a key too, instead of a ValueError
-    for n in range(1, 5):
-        maps = [Transformation(imgs) for imgs in itertools.product(range(n), repeat=n)]
+def test_r_key_partition_is_oracle_r_classes_n_le_5():
+    # on every member of every context, equal kernel keys exactly when the
+    # oracle puts the two in one component of the right Cayley graph
+    for n in range(1, 6):
         for r in range(1, n + 1):
             for ys in itertools.combinations(range(n), r):
                 ctx = Context(n, ys)
-                members = enumerate_family(ctx).elements
-                keys = [_r_key(ctx.y_frozen, f) for f in members]
-                defs = []
-                for f in members:
-                    kp = kernel_partition(f)
-                    defs.append((kp.blocks, kp.fibers_over(ctx.y_frozen)))
-                assert len(set(keys)) == len(set(defs)) == len(set(zip(keys, defs)))
-                outside = [f for f in maps if not classify(ctx, f).in_omegabar]
-                for f in outside:
-                    _r_key(ctx.y_frozen, f)
+                oracle = GreenOracle(ctx)
+                keys = [_r_key(f) for f in oracle.elements]
+                comps = oracle._graph(1)[0]
+                assert len(set(keys)) == len(set(comps)) == len(set(zip(keys, comps))), ctx
+    # any map has a key, member or not: the least point of each point's fiber
+    for n in range(1, 5):
+        for imgs in itertools.product(range(n), repeat=n):
+            f = Transformation(imgs)
+            assert _r_key(f) == tuple(fibers(f)[v][0] for v in imgs)
 
 
 def test_eggbox_outputs_match_recorded_digests(capsys):
