@@ -8,10 +8,11 @@ with the same seed and bounds.
 
 from __future__ import annotations
 
-import argparse
+import collections
 import functools
 import sys
 from operator import itemgetter
+from types import SimpleNamespace
 
 from .core import (
     Context,
@@ -299,82 +300,108 @@ def cmd_verify(args) -> int:
     return exit_code_for(report)
 
 
-def _add_ctx_args(sp) -> None:
-    sp.add_argument("--n", type=int, required=True, help="ambient set size")
-    sp.add_argument("--y", type=str, required=True, help="distinguished subset, e.g. '0,1'")
+# One option: its flag, its kind (int, str, a tuple of choices, or SWITCH for a flag
+# that stores True), its default, whether it is required, and its help.  Its dest is
+# the flag's name with "-" read as "_", as argparse derives it.
+Opt = collections.namedtuple("Opt", "flag kind default required help", defaults=(None, False, None))
+SWITCH = "switch"
+_CTX = (
+    Opt("--n", int, required=True, help="ambient set size"),
+    Opt("--y", str, required=True, help="distinguished subset, e.g. '0,1'"),
+)
+
+
+def _format(*choices: str) -> Opt:
+    return Opt("--format", choices, choices[0])  # the first choice is the default
+
+
+# The grammar, declared once: command -> (function, help, positionals as (name, help), options).
+# ``_read`` reads a well-formed line off it; ``build_parser`` builds argparse from it for the rest.
+COMMANDS = {
+    "enum": (cmd_enum, "list a family of maps", (), (
+        *_CTX, Opt("--family", ("tbar", "omegabar", "sbar", "fix"), "omegabar"), _format("text", "json"))),
+    "classify": (cmd_classify, "membership, profile and regularity of one map", (), (
+        *_CTX, Opt("--f", str, required=True, help="map in bracket form, e.g. '[1 0 0]'"),
+        _format("json", "text"))),
+    "green": (cmd_green, "test one Green relation between two members", (), (
+        *_CTX, Opt("--rel", RELATIONS, required=True), Opt("--f", str, required=True),
+        Opt("--g", str, required=True), Opt("--witness", SWITCH, False, help="emit divisibility witnesses"),
+        _format("text", "json"))),
+    "eggbox": (cmd_eggbox, "D-classes laid out as R-by-L grids", (), (*_CTX, _format("text", "dot", "json"))),
+    "ideals": (cmd_ideals, "all two-sided ideals", (), (*_CTX, _format("json", "text"))),
+    "kernel": (cmd_kernel, "the least ideal", (), (*_CTX, _format("json", "text"))),
+    "profile": (cmd_profile, "compare two symbolic fiber profiles", (
+        ("p", "profile literal, e.g. '[w 1 1]' or '[w]+rest1'"), ("q", None)), (
+        Opt("--d", SWITCH, False, help="only the bijection test"),
+        Opt("--j", SWITCH, False, help="only the packing tests"), _format("text", "json"))),
+    "verify": (cmd_verify, "run the self-verification suite", (), (
+        Opt("--max-n", int, 4), Opt("--sample-n5", SWITCH, False), Opt("--seed", int, 0), Opt("--jobs", int, 1),
+        Opt("--out", str, help="also write the JSON report here"), _format("json", "text"))),
+}
+
+
+def _read(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace ``build_parser().parse_args(argv)`` gives, read off ``COMMANDS``.
+
+    Only exact flags with separate values, and ints in decimal digits, are read.  Help,
+    every usage error and any other line give None, and the caller leaves them to argparse.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    func, _, positionals, options = COMMANDS[argv[0]]
+    by_flag = {opt.flag: opt for opt in options}
+    given, values = {}, []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        opt = by_flag.get(token)
+        if opt is None:
+            if token.startswith("-"):
+                return None
+            values.append(token)
+            continue
+        if opt.kind is SWITCH:
+            given[opt] = True
+            continue
+        value = next(tokens, "-")  # a flag with no token left reads "-", and no value may start with "-"
+        if opt.kind is int and value.isdecimal():
+            value = int(value)
+        elif value.startswith("-") or opt.kind is int or (opt.kind is not str and value not in opt.kind):
+            return None
+        given[opt] = value
+    if len(values) != len(positionals) or any(opt.required and opt not in given for opt in options):
+        return None
+    dests = {opt.flag[2:].replace("-", "_"): given.get(opt, opt.default) for opt in options}
+    dests.update(zip((name for name, _ in positionals), values))
+    return SimpleNamespace(command=argv[0], func=func, **dests)
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The parser, built on the first call and shared by every later one in the process.
-
-    Each ``parse_args`` returns a fresh namespace, so calls share no state; the
-    ``cmd_*`` bodies look the library functions up at call time.
+    """The argparse parser for help and usage errors, built from ``COMMANDS`` on the first call and
+    shared by every later one: each ``parse_args`` returns a fresh namespace, so calls share no state.
     """
+    import argparse  # a well-formed line is read without it
+
     parser = argparse.ArgumentParser(
         prog="invsemi",
         description="transformations of a finite set that stabilize a distinguished subset",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("enum", help="list a family of maps")
-    _add_ctx_args(sp)
-    sp.add_argument("--family", choices=("tbar", "omegabar", "sbar", "fix"), default="omegabar")
-    sp.add_argument("--format", choices=("text", "json"), default="text")
-    sp.set_defaults(func=cmd_enum)
-
-    sp = sub.add_parser("classify", help="membership, profile and regularity of one map")
-    _add_ctx_args(sp)
-    sp.add_argument("--f", type=str, required=True, help="map in bracket form, e.g. '[1 0 0]'")
-    sp.add_argument("--format", choices=("json", "text"), default="json")
-    sp.set_defaults(func=cmd_classify)
-
-    sp = sub.add_parser("green", help="test one Green relation between two members")
-    _add_ctx_args(sp)
-    sp.add_argument("--rel", choices=RELATIONS, required=True)
-    sp.add_argument("--f", type=str, required=True)
-    sp.add_argument("--g", type=str, required=True)
-    sp.add_argument("--witness", action="store_true", help="emit divisibility witnesses")
-    sp.add_argument("--format", choices=("text", "json"), default="text")
-    sp.set_defaults(func=cmd_green)
-
-    sp = sub.add_parser("eggbox", help="D-classes laid out as R-by-L grids")
-    _add_ctx_args(sp)
-    sp.add_argument("--format", choices=("text", "dot", "json"), default="text")
-    sp.set_defaults(func=cmd_eggbox)
-
-    sp = sub.add_parser("ideals", help="all two-sided ideals")
-    _add_ctx_args(sp)
-    sp.add_argument("--format", choices=("json", "text"), default="json")
-    sp.set_defaults(func=cmd_ideals)
-
-    sp = sub.add_parser("kernel", help="the least ideal")
-    _add_ctx_args(sp)
-    sp.add_argument("--format", choices=("json", "text"), default="json")
-    sp.set_defaults(func=cmd_kernel)
-
-    sp = sub.add_parser("profile", help="compare two symbolic fiber profiles")
-    sp.add_argument("p", type=str, help="profile literal, e.g. '[w 1 1]' or '[w]+rest1'")
-    sp.add_argument("q", type=str)
-    sp.add_argument("--d", action="store_true", help="only the bijection test")
-    sp.add_argument("--j", action="store_true", help="only the packing tests")
-    sp.add_argument("--format", choices=("text", "json"), default="text")
-    sp.set_defaults(func=cmd_profile)
-
-    sp = sub.add_parser("verify", help="run the self-verification suite")
-    sp.add_argument("--max-n", type=int, default=4, dest="max_n")
-    sp.add_argument("--sample-n5", action="store_true", dest="sample_n5")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--jobs", type=int, default=1)
-    sp.add_argument("--out", type=str, default=None, help="also write the JSON report here")
-    sp.add_argument("--format", choices=("json", "text"), default="json")
-    sp.set_defaults(func=cmd_verify)
-
+    for name, (func, help_, positionals, options) in COMMANDS.items():
+        sp = sub.add_parser(name, help=help_)
+        for pos, pos_help in positionals:
+            sp.add_argument(pos, type=str, help=pos_help)
+        for opt in options:
+            kind = ({"action": "store_true"} if opt.kind is SWITCH
+                    else {"type": opt.kind} if opt.kind in (int, str) else {"choices": opt.kind})
+            sp.add_argument(opt.flag, default=opt.default, required=opt.required, help=opt.help, **kind)
+        sp.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read(argv) or build_parser().parse_args(argv)
     try:
         return args.func(args)
     except BudgetError as e:

@@ -57,6 +57,7 @@ from .extnat import (
 from .ideals import ideals_all, is_ideal, j_of_f, j_st, kernel
 from .regularity import _pre_inverse_scan, is_regular, is_regular_oracle, is_unit_regular, pre_inverses
 from .semigroup import (
+    DEFAULT_ORACLE_BUDGET,
     GreenOracle,
     d_middle_witness,
     enumerate_family,
@@ -412,13 +413,11 @@ def _check_d_eq_j(data: _CtxData, rng: random.Random):
 def _check_d_compositions(data: _CtxData, rng: random.Random):
     """On the oracle side L-then-R and R-then-L agree, and its first middle is the built one."""
     oracle = data.oracle()
-    elems = data.enum()
     checked = 0
-    for f, g in _pair_iter(data, elems, rng, 3, SAMPLE_PAIRS // 4):
+    for f, g in _pair_iter(data, data.enum(), rng, 3, SAMPLE_PAIRS // 4):
         middle = oracle.d_middle(f, g)
-        right_then_left = any(
-            oracle.r_related(f, w) and oracle.l_related(w, g) for w in elems
-        )
+        # a member w with f R w L g is a member with g L w R f: the R-then-L middle, on class ids
+        right_then_left = oracle.d_middle(g, f) is not None
         checked += 1
         if (middle is not None) != right_then_left:
             return checked, _ex(data, f=f, g=g, detail="L-then-R and R-then-L compositions differ")
@@ -922,6 +921,8 @@ def run_verify(cfg: VerifyConfig) -> dict:
     """Run every check and return the report as plain data."""
     if cfg.max_n < 1:
         raise ValueError(f"max_n must be at least 1, got {cfg.max_n}")
+    if cfg.max_n > DEFAULT_ORACLE_BUDGET:  # every context past the cap could only report ``resource``
+        raise BudgetError(f"max_n={cfg.max_n} exceeds the oracle budget {DEFAULT_ORACLE_BUDGET}")
     _apply_env_mutation()
     ctxs = _contexts(cfg)
     shard_args = [(cfg.seed, n, ys) for n, ys in ctxs]

@@ -15,6 +15,7 @@ import pytest
 from invsemi import Context, classify, cli, compose, parse_transformation, verify
 from invsemi.cli import build_parser, main
 from invsemi.core import fibers, indented_json
+from invsemi.errors import BudgetError
 from invsemi.ideals import ideals_all
 from invsemi.verify import VerifyConfig, pool_size, run_verify
 
@@ -314,6 +315,110 @@ def test_main_reuses_one_parser(capsys):
     assert out_of(*profile) == before
 
 
+def _given(opt):
+    """The tokens that give one option a value other than its default."""
+    if opt.kind is cli.SWITCH:
+        return [opt.flag]
+    return [opt.flag, {int: "3", str: "[0 1 0]"}.get(opt.kind) or opt.kind[-1]]
+
+
+def _well_formed_lines():
+    """Each command with its required options alone, with each other option
+    given, with every option in table and in reverse order, and hand-made
+    lines for repeats, positionals between options and odd but valid values."""
+    for name, (_, _, positionals, options) in cli.COMMANDS.items():
+        pos = ["[w 1 1]", "[w w 1]"][: len(positionals)]
+        required = [t for opt in options if opt.required for t in _given(opt)]
+        yield [name, *pos, *required]
+        for opt in options:
+            if not opt.required:
+                yield [name, *required, *_given(opt), *pos]
+        yield [name, *pos, *(t for opt in options for t in _given(opt))]
+        yield [name, *(t for opt in reversed(options) for t in _given(opt)), *pos]
+    yield ["enum", "--n", "3", "--y", "0", "--n", "4", "--format", "json", "--format", "text"]
+    yield ["green", "--witness", "--n", "3", "--y", "0,1", "--rel", "L", "--f", "[0 1 0]",
+           "--g", "[1 0 0]", "--witness", "--rel", "J"]
+    yield ["profile", "--d", "[w 1 1]", "--format", "json", "[w w 1]", "--j"]
+    yield ["profile", "[w 1 1]", "--j", "[w w 1]", "--d", "--j"]
+    yield ["verify", "--sample-n5", "--max-n", "2", "--out", "r.json", "--seed", "7", "--jobs", "2"]
+    yield ["enum", "--n", "3", "--y", ""]
+    yield ["classify", "--f", "[1 0 0]", "--y", "0,1", "--n", "\u0663"]  # ARABIC-INDIC DIGIT THREE
+
+
+@pytest.mark.parametrize("argv", list(_well_formed_lines()), ids=" ".join)
+def test_reader_matches_argparse_on_well_formed_lines(argv):
+    # both come from one table; the reader must give argparse's namespace exactly
+    read = cli._read(argv)
+    assert read is not None
+    assert vars(read) == vars(build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize(
+    "argv, stream, text",
+    [
+        (["-h"], None, "usage: invsemi [-h]"),
+        (["green", "-h"], None, "usage: invsemi green [-h]"),
+        ([], 2, "invsemi: error: the following arguments are required: command"),
+        (["nosuchcommand"], 2, "invsemi: error: argument command: invalid choice: 'nosuchcommand'"),
+        (["verify", "--bogus"], 2, "invsemi: error: unrecognized arguments: --bogus"),
+        (["classify", "--n", "3", "--y", "0,1"], 2,
+         "invsemi classify: error: the following arguments are required: --f"),
+        (["green", "--n", "3", "--y", "0,1", "--rel", "X", "--f", "[0 1 0]", "--g", "[1 0 0]"], 2,
+         "invsemi green: error: argument --rel: invalid choice: 'X'"),
+        (["enum", "--n", "x", "--y", "0,1"], 2, "invsemi enum: error: argument --n: invalid int value: 'x'"),
+        (["enum", "--n", "3", "--y"], 2, "invsemi enum: error: argument --y: expected one argument"),
+        (["profile", "[w 1 1]", "[w w 1]", "[1]"], 2, "invsemi: error: unrecognized arguments: [1]"),
+    ],
+)
+def test_reader_leaves_help_and_usage_errors_to_argparse(argv, stream, text, capsys):
+    # exit code 0 prints help on stdout; exit code 2 prints the usage error on stderr
+    assert cli._read(argv) is None
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == (stream or 0)
+    assert text in (err if stream else out)
+
+
+@pytest.mark.parametrize(
+    "argv, attrs, code, err",
+    [
+        (["enum", "--n", "3", "--y", "0,1", "--fam", "fix"], {"family": "fix"}, 0, ""),
+        (["enum", "--n=3", "--y", "0,1"], {"n": 3}, 0, ""),
+        (["enum", "--n", " +3", "--y", "0,1"], {"n": 3}, 0, ""),
+        (["verify", "--max-n", "1", "--jobs", "-3"], {"jobs": -3}, 2, "error: jobs must be at least 1, got -3\n"),
+        (["profile", "-1", "[1]"], {"p": "-1"}, 2,
+         "error: expected profile like '[w 1 1]' or '[w]+rest1', got '-1'\n"),
+    ],
+)
+def test_reader_leaves_abbreviations_joined_values_and_dashes_to_argparse(argv, attrs, code, err, capsys):
+    # argparse reads these lines; main runs them as it did before the reader
+    assert cli._read(argv) is None
+    assert vars(build_parser().parse_args(argv)).items() >= attrs.items()
+    assert main(argv) == code
+    assert capsys.readouterr().err == err
+
+
+def test_cli_import_and_well_formed_lines_leave_argparse_out():
+    # argparse is imported only to print help or a usage error
+    r = subprocess.run(
+        [sys.executable, "-c", "import invsemi.cli, sys; sys.exit('argparse' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert r.returncode == 0, r.stderr or "argparse imported with invsemi.cli"
+    r = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "invsemi", "profile", "[w 1 1]", "[w w 1]", "--format", "json"],
+        capture_output=True,
+        text=True,
+    )
+    assert r.returncode == 0 and '"p": "[w 1 1]"' in r.stdout
+    imported = {line.rpartition("|")[2].strip() for line in r.stderr.splitlines()}
+    assert "invsemi.cli" in imported and "argparse" not in imported
+    r = run_cli("green", "--help")
+    assert r.returncode == 0 and r.stdout.startswith("usage: invsemi green [-h]")
+
+
 def test_usage_error_exits_2():
     r = run_cli("classify", "--n", "3", "--y", "0,1")
     assert r.returncode == 2
@@ -363,6 +468,14 @@ def test_cli_import_leaves_multiprocessing_out():
 def test_verify_jobs_below_one_exits_2():
     assert main(["verify", "--max-n", "1", "--jobs", "0"]) == 2
     assert main(["verify", "--max-n", "1", "--jobs", "-3"]) == 2
+
+
+def test_verify_max_n_past_oracle_cap_exits_3(capsys):
+    # refused before any context is listed, so a large value returns at once
+    assert main(["verify", "--max-n", "40"]) == 3
+    assert "error: max_n=40 exceeds the oracle budget 6" in capsys.readouterr().err
+    with pytest.raises(BudgetError, match="oracle budget"):
+        run_verify(VerifyConfig(max_n=7))
 
 
 def test_verify_max_n_below_one_exits_2(capsys):
