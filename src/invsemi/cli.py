@@ -390,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (func, help_, positionals, options) in COMMANDS.items():
         sp = sub.add_parser(name, help=help_)
         for pos, pos_help in positionals:
-            sp.add_argument(pos, type=str, help=pos_help)
+            sp.add_argument(pos, help=pos_help)
         for opt in options:
             kind = ({"action": "store_true"} if opt.kind is SWITCH
                     else {"type": opt.kind} if opt.kind in (int, str) else {"choices": opt.kind})
