@@ -12,25 +12,31 @@ singles out four nested families of maps, from the loosest to the tightest:
 On a finite ambient set, sbar and omegabar coincide; both flags are still
 computed independently so the coincidence can be checked, not assumed.
 
-There is one product, ``product``, on raw image tuples.  The definitional
-searches multiply tuples with it and build a Transformation only for what
-they return; ``compose`` is its dimension-checked wrapper.  One itemgetter
-reads a product and one cached ``str.format`` writes a bracket form, both in C;
-``indented_json`` writes indented JSON without the stdlib's Python encoder.
+There are two product kernels, both in C.  ``product`` multiplies two raw
+image tuples with one itemgetter; the definitional searches multiply tuples
+with it and build a Transformation only for what they return, and
+``compose`` is its dimension-checked wrapper.  ``product_columns`` multiplies
+every member of a family by one member at a time, on either side, with
+``bytes.translate`` over the members held as bytes; the Green oracle builds
+its Cayley graphs from it.  Both honour ``_MUTATION``.  One cached
+``str.format`` writes a bracket form, and ``indented_json`` writes indented
+JSON without the stdlib's Python encoder.
 
 Image tuples are validated where maps enter from outside the program: the
 public ``Transformation(...)`` constructor, ``parse_transformation`` and
 ``transformation_from_json``.  Tuples that are valid by construction (the
 product of two maps of one size, or the members that ``enumerate_family`` and
 ``units`` generate from candidates in ``range(n)``) are wrapped by the private
-``_trusted`` and not checked again.
+``_trusted`` (or ``_trusted_all``, for a list) and not checked again.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+from collections import deque
 from dataclasses import dataclass, field
+from itertools import repeat
 from operator import itemgetter
 
 from .errors import DimensionError, DomainError
@@ -94,6 +100,13 @@ def _trusted(images: tuple[int, ...]) -> Transformation:
     return f
 
 
+def _trusted_all(tuples: list[tuple[int, ...]]) -> tuple[Transformation, ...]:
+    """``_trusted`` over a list, in C maps: one bare object per tuple, then one slot write each."""
+    out = tuple(map(_new_object, repeat(Transformation, len(tuples))))
+    deque(map(_set_images, out, tuples), maxlen=0)
+    return out
+
+
 def identity(n: int) -> Transformation:
     return Transformation(tuple(range(n)))
 
@@ -149,12 +162,44 @@ class MembershipFlags:
 def product(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     """Left-to-right product of image tuples of equal length: x (a b) = b[a[x]].
 
-    Nothing is checked.  This is the one place that honours ``_MUTATION``, so
-    a flipped composition flips every product, searches and ``compose`` alike.
+    Nothing is checked.  This and ``product_columns`` are the two places that
+    honour ``_MUTATION``, so a flipped composition flips every product:
+    searches, ``compose`` and the oracle's Cayley graphs alike.
     """
     if _MUTATION == "flip-compose":
         a, b = b, a
     return itemgetter(*a)(b) if len(a) > 1 else (b[a[0]],)  # one index would give a scalar
+
+
+def product_columns(members: list[tuple[int, ...]]):
+    """The products of every member with one member a, a column at a time, as member indices.
+
+    Returns ``column(a, left)``: for each member x in order, the index of x a,
+    or with ``left`` of a x, each computed as ``product`` would.  Members are
+    held as bytes, so a column is one C pass of ``bytes.translate``: x a is x's
+    code through a's 256-byte table, a x is a's code through each member's
+    table (built on the first such column).  One dict maps the products back to
+    indices; a product that is not a member raises KeyError with its image
+    tuple.  ``flip-compose`` swaps the two orientations, as it does in ``product``.
+    """
+    codes = list(map(bytes, members))
+    pad = bytes(256 - len(members[0]))
+    tables: list[bytes] = []
+    at = dict(zip(codes, range(len(codes)))).__getitem__
+
+    def column(a: int, left: bool = False) -> list[int]:
+        if left != (_MUTATION == "flip-compose"):  # a x
+            if not tables:
+                tables.extend(map(bytes.__add__, codes, repeat(pad)))
+            out = map(codes[a].translate, tables)
+        else:  # x a
+            out = map(bytes.translate, codes, repeat(codes[a] + pad))
+        try:
+            return list(map(at, out))
+        except KeyError as e:
+            raise KeyError(tuple(e.args[0])) from None
+
+    return column
 
 
 def compose(f: Transformation, g: Transformation) -> Transformation:

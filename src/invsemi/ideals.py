@@ -16,13 +16,10 @@ warning instead of pretending the cut is interesting.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
 
-from .core import Context, Transformation, identity, image_deficit, product
+from .core import Context, Transformation, _trusted_all, identity, image_deficit, product
 from .extnat import as_extnat, n_value, profile_of
-from .semigroup import _generate, _require_member, enumerate_family
-
-_images = attrgetter("images")
+from .semigroup import _generate, _images, _require_member, enumerate_family
 
 
 @dataclass(frozen=True, slots=True)
@@ -152,4 +149,4 @@ def kernel(ctx: Context) -> IdealSet:
     bijective on Y, generated directly.  The verify battery compares this with
     the intersection of all ideals.
     """
-    return IdealSet(ctx=ctx, members=tuple(_generate(ctx, "omegabar", [ctx.y_set] * ctx.n)))
+    return IdealSet(ctx=ctx, members=_trusted_all(list(_generate(ctx, "omegabar", [ctx.y_set] * ctx.n))))

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Context, Transformation, classify, compose, fibers
+from .core import Context, Transformation, _trusted, classify, compose, fibers
 from .errors import DomainError
 from .semigroup import _candidates, _generate
 
@@ -47,7 +47,7 @@ def _pre_inverse_scan(ctx: Context, f: Transformation, family: str):
     fi = f.images
     for v in set(fi):
         per_pos[v] = tuple(z for z in per_pos[v] if fi[z] == v)
-    return _generate(ctx, family, per_pos)
+    return map(_trusted, _generate(ctx, family, per_pos))
 
 
 def pre_inverses(ctx: Context, f: Transformation, family: str = "omegabar") -> tuple[Transformation, ...]:

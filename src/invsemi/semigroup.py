@@ -5,14 +5,15 @@ predicates (l_related and friends) and the witness builders work from images,
 kernels and image deficits alone, in time polynomial in n: over a finite Y
 every member is a bijection on Y, so D, J and two-sided divisibility come down
 to comparing image deficits.  The GreenOracle decides the same questions
-straight from the definitions, on the left and right Cayley graphs of a
+straight from the definitions, on the left and right Cayley graphs of a greedy
 generating set of the enumerated semigroup (the method of Froidure and Pin,
 1997): one-sided divisibility is reachability, and the classes are strongly
-connected components.  Its products are taken on raw image tuples, for the
-right graph only; the left graph follows from the right one by
-associativity, and each graph's components are found on the first query
-that needs them.  The two flavors are kept separate on purpose: tests compare
-them and neither side is allowed to peek at the other.
+connected components.  Each graph is multiplied out one product column per
+generator, by ``core.product_columns``.  Each side is built on the first
+query that needs it, the first one by the greedy walk that picks the
+generators; components and reachability follow on first need as well.  The
+two flavors are kept separate on purpose: tests compare them and neither side
+is allowed to peek at the other.
 """
 
 from __future__ import annotations
@@ -20,12 +21,13 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass
-from operator import ne
+from operator import attrgetter, ne
 
 from .core import (
     Context,
     Transformation,
     _trusted,
+    _trusted_all,
     carries_y,
     compose,
     fibers,
@@ -33,11 +35,14 @@ from .core import (
     identity,
     image_deficit,
     product,
+    product_columns,
 )
 from .errors import BudgetError, DomainError
 
 FAMILIES = ("tbar", "omegabar", "sbar", "fix")
 RELATIONS = ("L", "R", "H", "D", "J")
+
+_images = attrgetter("images")
 
 DEFAULT_ENUM_BUDGET = 6
 DEFAULT_ORACLE_BUDGET = 6
@@ -83,11 +88,12 @@ def _candidates(ctx: Context, family: str) -> list[tuple[int, ...]]:
 
 
 def _generate(ctx: Context, family: str, per_pos: list[tuple[int, ...]], budget: int | None = None):
-    """The family's members in the product of ``per_pos``, lazily, in lexicographic order.
+    """The image tuples of the family's members in the product of ``per_pos``, lazily, in lexicographic order.
 
     ``per_pos`` is the family's candidates or a narrowing of them.  The two
-    bijective-on-Y families also need distinct values at the Y positions.  Members
-    are not validated again (every candidate lies in range(n)); the budget is checked first.
+    bijective-on-Y families also need distinct values at the Y positions.  Every
+    candidate lies in range(n), so callers wrap the tuples with ``_trusted`` and
+    do not validate them again; the budget is checked first.
     """
     limit = _resolve_budget(budget)
     if ctx.n > limit:
@@ -96,13 +102,13 @@ def _generate(ctx: Context, family: str, per_pos: list[tuple[int, ...]], budget:
     tuples = itertools.product(*per_pos)
     if family in ("sbar", "omegabar") and len(ys) > 1:  # one Y point is always distinct
         tuples = (imgs for imgs in tuples if len({imgs[y] for y in ys}) == len(ys))
-    return map(_trusted, tuples)
+    return tuples
 
 
 def enumerate_family(ctx: Context, family: str = "omegabar", budget: int | None = None) -> SemigroupEnum:
     """Enumerate a family in lexicographic order of image tuples, from per-position candidate lists."""
-    members = _generate(ctx, family, _candidates(ctx, family), budget)
-    return SemigroupEnum(ctx=ctx, family=family, elements=tuple(members))
+    members = _trusted_all(list(_generate(ctx, family, _candidates(ctx, family), budget)))
+    return SemigroupEnum(ctx=ctx, family=family, elements=members)
 
 
 def units(ctx: Context) -> tuple[Transformation, ...]:
@@ -313,49 +319,41 @@ def d_middle_witness(ctx: Context, f: Transformation, g: Transformation) -> Tran
 # --- definitional oracle ------------------------------------------------------
 
 
-def _cayley_graphs(tuples: list[tuple[int, ...]], index: dict) -> tuple[list[int], list[list[int]], list[list[int]]]:
-    """A generating set of the family and its right and left Cayley graphs, as member indices.
+def _cayley_graphs(column, sizes: list[int], left: bool) -> tuple[list[int], list[tuple[int, ...]]]:
+    """A greedy generating set of the family and its left or right Cayley graph, as member indices.
 
-    Members are walked by descending image size, then in index order; each one
-    not yet in the closure becomes a generator, and every member of the closure
-    is multiplied on the right by every generator once: ``right[v]`` lists v
-    times each generator.  A product outside the family raises KeyError.
-    Each member w is first reached as u a, from a member u and the generator at
-    position a (a generator is its own u = -1).  The left graph takes no
-    product (Froidure and Pin): b (u a) = (b u) a, so ``left[w][b]`` is
-    ``right[left[u][b]][a]``, filled in closure order once every row of
-    ``right`` is complete.
+    ``column(a, left)`` lists every member times a, or with ``left`` a times
+    every member, as ``core.product_columns`` returns them.
+    Members are walked by descending image size (``sizes``), then in index
+    order; each one not yet in the closure becomes a generator, its column is
+    taken once, and the closure grows in set-level frontiers: the old closure
+    times the new generator, then each new member times every generator, until
+    nothing new appears.  Either side closes to the same subsemigroup, so both
+    choose the same generators.  Row v of the graph lists v times each generator,
+    or with ``left`` each generator times v.  A product outside the family
+    raises KeyError.
     """
-    m = len(tuples)
-    gens, right, seen, closure, via = [], [[] for _ in range(m)], bytearray(m), [], []
-    for g in sorted(range(m), key=lambda i: (-len(set(tuples[i])), i)):
-        if seen[g]:
+    gens, cols, closure = [], [], set()
+    for g in sorted(range(len(sizes)), key=sizes.__getitem__, reverse=True):  # stable: ties stay in index order
+        if g in closure:
             continue
-        seen[g] = 1
-        closure.append(g)
-        via.append((-1, len(gens)))
         gens.append(g)
-        for v in closure:  # grows while it is walked
-            row, x = right[v], tuples[v]
-            for a in range(len(row), len(gens)):
-                w = index[product(x, tuples[gens[a]])]
-                row.append(w)
-                if not seen[w]:
-                    seen[w] = 1
-                    closure.append(w)
-                    via.append((v, a))
-    left: list[list[int]] = [[] for _ in range(m)]
-    for w, (u, a) in zip(closure, via):
-        left[w] = [right[bu][a] for bu in (gens if u < 0 else left[u])]
-    return gens, right, left
+        cols.append(column(g, left))
+        new = {g, *map(cols[-1].__getitem__, closure)} - closure
+        while new:
+            closure |= new
+            grown = set()
+            for col in cols:
+                grown.update(map(col.__getitem__, new))
+            new = grown - closure
+    return gens, list(zip(*cols))
 
 
-def _components(succ: list[list[int]]) -> tuple[list[int], list[int]]:
-    """Strongly connected components of the graph v -> succ[v], and reachability.
+def _components(succ: list) -> list[int]:
+    """The strongly connected component of each vertex of the graph v -> succ[v].
 
     Iterative Tarjan.  Components are numbered in the order they close, so no
-    edge leads to a higher number; ``reach[c]`` is the bitmask of the
-    components reachable from component c, c itself included.
+    edge leads to a higher number.
     """
     m = len(succ)
     order, low, comp = [0] * m, [0] * m, [-1] * m  # order 0: not visited yet
@@ -388,27 +386,22 @@ def _components(succ: list[list[int]]) -> tuple[list[int], list[int]]:
                         group.append(stack.pop())
                         comp[group[-1]] = len(groups)
                     groups.append(group)
-    reach: list[int] = []
-    for c, group in enumerate(groups):
-        mask = 1 << c
-        for d in {comp[w] for v in group for w in succ[v]} - {c}:
-            mask |= reach[d]
-        reach.append(mask)
-    return comp, reach
+    return comp
 
 
 class GreenOracle:
     """Green's relations from the definitions, on the Cayley graphs of the family.
 
-    On first use (``_products``; ``_left`` stays None until then) a greedy
-    generating set is taken and the right Cayley graph multiplied out; a
-    product outside the family is an error.  The left graph follows from the
-    right one by associativity, without a product.  The family is a monoid
-    generated by that set, so f <=_R g (f = g h for a member h) is
-    reachability from g in the right Cayley graph (x -> x a per generator a),
-    f <=_L g in the left one (x -> a x) and f <=_J g in their union.  L, R and
-    J are the strongly connected components, each graph's found on the first
-    query that needs them; the middle of D is the first member of L(f) and R(g).
+    The family is a monoid generated by a greedy generating set, so f <=_R g
+    (f = g h for a member h) is reachability from g in the right Cayley graph
+    (x -> x a per generator a), f <=_L g in the left one (x -> a x) and f <=_J g
+    in their union.  L, R and J are the strongly connected components; the
+    middle of D is the first member of L(f) and R(g).  Everything is built on
+    the first query that needs it: a side's rows (L needs the left graph, R the
+    right one, H, D and J both), each graph's components, and the reach masks
+    that only the below-queries and ``j_down_sets`` read.  The first side built
+    runs the greedy walk and fixes the generators; the other is one product
+    column per generator.  A product outside the family is an error.
     """
 
     def __init__(self, ctx: Context, budget: int = DEFAULT_ORACLE_BUDGET):
@@ -416,12 +409,15 @@ class GreenOracle:
             raise BudgetError(f"n={ctx.n} exceeds oracle budget {budget}")
         self.ctx = ctx
         self.elements = enumerate_family(ctx, "omegabar").elements
-        self._index = {f.images: i for i, f in enumerate(self.elements)}
-        self._left = self._right = None  # adjacency lists
+        self._index = dict(zip(map(_images, self.elements), range(len(self.elements))))
+        self._left = self._right = None  # each side's rows, built by _products
+        self._side = 1  # the side the next _products call builds
+        self._column = None  # product_columns over the members, while one side is missing
+        self._gens: list[int] | None = None  # the generators' member indices, from the first side's walk
         # per graph (left, right, union): the component of each member, and reach
-        self._graphs: list[tuple[list[int], list[int]] | None] = [None, None, None]
+        self._comps: list[list[int] | None] = [None, None, None]
+        self._reaches: list[tuple[list[int], list[int]] | None] = [None, None, None]
         self._middles: dict[tuple[int, int], int] | None = None
-        self._generators: tuple[Transformation, ...] = ()
 
     def _id(self, f: Transformation) -> int:
         try:
@@ -429,39 +425,82 @@ class GreenOracle:
         except KeyError:
             raise DomainError(f"{f} is not a member over {self.ctx}") from None
 
-    def _products(self) -> tuple[list[list[int]], list[list[int]]]:
-        """The left and right Cayley graphs as adjacency lists, built on the first call."""
-        if self._left is None:
-            tuples = [f.images for f in self.elements]
-            try:
-                gens, right, left = _cayley_graphs(tuples, self._index)
-            except KeyError as e:
-                raise RuntimeError(f"product {Transformation(e.args[0])} leaves the family over {self.ctx}") from None
-            self._generators = tuple(self.elements[a] for a in gens)
-            self._right, self._left = right, left
-        return self._left, self._right
+    def _products(self) -> list[tuple[int, ...]]:
+        """Build the rows of the Cayley graph ``_side`` names (0 left, 1 right), and return them.
 
-    def _graph(self, graph: int) -> tuple[list[int], list[int]]:
-        """The left (0), right (1) or union (2) graph's (components, reach), found on the first call."""
-        found = self._graphs[graph]
+        Every side is built here and nowhere else.  The side comes from ``_side``
+        rather than an argument because ``perfbench/tracing.py`` wraps this
+        method by name, with the oracle as its one argument, and times the
+        calls made while ``_left`` is None.
+        """
+        left = self._side == 0
+        try:
+            if self._gens is None:  # the first side: its greedy walk picks the generators
+                tuples = list(map(_images, self.elements))
+                self._column = product_columns(tuples)
+                self._gens, rows = _cayley_graphs(self._column, list(map(len, map(set, tuples))), left)
+            else:  # the other side: one column per generator, then the codes and tables are released
+                rows = list(zip(*[self._column(a, left) for a in self._gens]))
+                self._column = None
+        except KeyError as e:
+            raise RuntimeError(f"product {Transformation(e.args[0])} leaves the family over {self.ctx}") from None
+        if left:
+            self._left = rows
+        else:
+            self._right = rows
+        return rows
+
+    def _succ(self, graph: int) -> list[tuple[int, ...]]:
+        """The rows of the left (0), right (1) or union (2) graph, a side built on its first call."""
+        if graph == 2:
+            return [lx + rx for lx, rx in zip(self._succ(0), self._succ(1))]
+        rows = (self._left, self._right)[graph]
+        if rows is None:
+            self._side = graph
+            rows = self._products()
+        return rows
+
+    def _graph(self, graph: int) -> list[int]:
+        """The component of each member in the left (0), right (1) or union (2) graph."""
+        comp = self._comps[graph]
+        if comp is None:
+            comp = self._comps[graph] = _components(self._succ(graph))
+        return comp
+
+    def _reach(self, graph: int) -> tuple[list[int], list[int]]:
+        """The graph's components, and for each component c the bitmask of the components reachable from c, c included.
+
+        No edge leads to a higher component number, so each mask is complete
+        before a higher one reads it.
+        """
+        found = self._reaches[graph]
         if found is None:
-            left, right = self._products()
-            succ = [lx + rx for lx, rx in zip(left, right)] if graph == 2 else (left, right)[graph]
-            found = self._graphs[graph] = _components(succ)
+            comp = self._graph(graph)
+            nexts = [set() for _ in range(max(comp) + 1)]
+            for c, row in zip(comp, self._succ(graph)):
+                nexts[c].update(row)
+            reach: list[int] = []
+            for c, ws in enumerate(nexts):
+                mask = 1 << c
+                for d in set(map(comp.__getitem__, ws)) - {c}:
+                    mask |= reach[d]
+                reach.append(mask)
+            found = self._reaches[graph] = comp, reach
         return found
 
     @property
     def generators(self) -> tuple[Transformation, ...]:
         """The greedy generating set; the family is the closure of it under products."""
-        self._products()
-        return self._generators
+        if self._gens is None:
+            self._succ(1)
+        return tuple(map(self.elements.__getitem__, self._gens))
 
     def _below(self, graph: int, f: Transformation, g: Transformation) -> bool:
-        comp, reach = self._graph(graph)
+        comp, reach = self._reach(graph)
         return bool(reach[comp[self._id(g)]] >> comp[self._id(f)] & 1)
 
     def _same(self, graph: int, f: Transformation, g: Transformation) -> bool:
-        comp = self._graph(graph)[0]
+        comp = self._graph(graph)
         return comp[self._id(f)] == comp[self._id(g)]
 
     def l_below(self, f: Transformation, g: Transformation) -> bool:
@@ -484,7 +523,7 @@ class GreenOracle:
 
     def d_middle(self, f: Transformation, g: Transformation) -> Transformation | None:
         """The first member w with f L w and w R g, or None."""
-        left, right = self._graph(0)[0], self._graph(1)[0]
+        left, right = self._graph(0), self._graph(1)
         if self._middles is None:
             self._middles = {}
             for w, key in enumerate(zip(left, right)):
@@ -502,7 +541,7 @@ class GreenOracle:
         the unions of ``reach`` masks, grown one principal down-set at a time,
         are all of them, each found with one union per component.
         """
-        comp, reach = self._graph(2)
+        comp, reach = self._reach(2)
         masks = set(reach)
         todo = list(masks)
         while todo:

@@ -22,7 +22,7 @@ from invsemi import (
     parse_transformation,
 )
 from invsemi.cli import main
-from invsemi.core import fibers, product
+from invsemi.core import fibers, product, product_columns
 from invsemi.semigroup import (
     FAMILIES,
     GreenOracle,
@@ -381,16 +381,78 @@ def test_cayley_oracle_matches_table_oracle():
 
 
 def test_cayley_left_graph_equals_multiplied_one_n_le_5():
+    # each side's walk, run alone: the same generators, and every row as
+    # multiplied out by product, in the same order, in both product orders
     for mutation in (None, "flip-compose"):
         core._set_mutation(mutation)
         try:
             for ctx in _all_contexts(5):
                 tuples = [f.images for f in enumerate_family(ctx).elements]
                 index = {t: i for i, t in enumerate(tuples)}
-                gens, _, left = _cayley_graphs(tuples, index)
-                assert left == [[index[product(tuples[a], x)] for a in gens] for x in tuples], (mutation, ctx)
+                column, sizes = product_columns(tuples), [len(set(t)) for t in tuples]
+                gens, left = _cayley_graphs(column, sizes, True)
+                assert left == [tuple(index[product(tuples[a], x)] for a in gens) for x in tuples], (mutation, ctx)
+                right_gens, right = _cayley_graphs(column, sizes, False)
+                assert right_gens == gens, (mutation, ctx)
+                assert right == [tuple(index[product(x, tuples[a])] for a in gens) for x in tuples], (mutation, ctx)
         finally:
             core._set_mutation(None)
+
+
+def test_product_columns_equal_product_n_le_4():
+    # every ordered pair of members of every context, both orientations, both product orders
+    for mutation in (None, "flip-compose"):
+        core._set_mutation(mutation)
+        try:
+            for ctx in _all_contexts(4):
+                tuples = [f.images for f in enumerate_family(ctx).elements]
+                column = product_columns(tuples)
+                for a, t in enumerate(tuples):
+                    assert [tuples[i] for i in column(a)] == [product(x, t) for x in tuples], (mutation, ctx, t)
+                    assert [tuples[i] for i in column(a, True)] == [product(t, x) for x in tuples], (mutation, ctx, t)
+        finally:
+            core._set_mutation(None)
+
+
+def test_oracle_builds_each_side_on_first_need():
+    ctx = Context(4, (0,))
+    f, g = T("[0 1 1 3]"), T("[0 2 2 1]")
+    oracle = GreenOracle(ctx)
+    assert oracle.l_related(f, g) is False
+    assert oracle._left is not None and oracle._right is None
+    oracle = GreenOracle(ctx)
+    assert oracle.r_related(f, g) is True
+    assert oracle._right is not None and oracle._left is None
+    # components alone for the related-queries; reach only once a below-query asks
+    assert oracle.j_related(f, g) is True
+    assert oracle._reaches == [None, None, None]
+    assert oracle._column is None  # both sides exist, so the product columns are released
+    assert oracle.j_below(f, g) is True
+    assert oracle._reaches[2] is not None
+
+
+def test_oracle_generators_do_not_depend_on_the_first_side():
+    for ctx in _all_contexts(4):
+        e = identity(ctx.n)
+        left_first, right_first = GreenOracle(ctx), GreenOracle(ctx)
+        left_first.l_related(e, e)
+        right_first.r_related(e, e)
+        assert left_first.generators == right_first.generators, ctx
+        assert right_first._left is None  # the generators need no second side
+
+
+def test_j_down_sets_are_the_table_oracles_n_le_4():
+    for ctx in _all_contexts(4):
+        table = _TableOracle(ctx)
+        elems = table.elements
+        principal = {frozenset(f.images for f in elems if table.j_below(f, g)) for g in elems}
+        down_sets, todo = set(principal), list(principal)
+        while todo:
+            for grown in {todo.pop() | p for p in principal} - down_sets:
+                down_sets.add(grown)
+                todo.append(grown)
+        got = GreenOracle(ctx).j_down_sets()
+        assert len(got) == len(down_sets) and set(got) == down_sets, ctx
 
 
 def test_oracle_generators_close_to_the_family_n_le_5():
@@ -401,9 +463,23 @@ def test_oracle_generators_close_to_the_family_n_le_5():
 def test_oracle_rejects_product_outside_family(monkeypatch):
     import invsemi.semigroup as semigroup
 
-    monkeypatch.setattr(semigroup, "product", lambda a, b: (0,) * len(a))
+    def constant_columns(members):
+        def column(a, left=False):  # as product_columns reports a product that is not a member
+            raise KeyError((0,) * len(members[a]))  # [0 0 0] does not fix Y = {1}
+
+        return column
+
+    monkeypatch.setattr(semigroup, "product_columns", constant_columns)
     with pytest.raises(RuntimeError, match="leaves the family"):
         GreenOracle(Context(3, (1,))).l_below(T("[0 1 2]"), T("[0 1 2]"))
+
+
+def test_product_columns_report_a_product_outside_the_members():
+    column = product_columns([(0, 1, 2), (1, 2, 0)])  # not closed: (1 2 0) squared is (2 0 1)
+    for left in (False, True):
+        with pytest.raises(KeyError) as caught:
+            column(1, left)
+        assert caught.value.args[0] == (2, 0, 1)
 
 
 def test_eggbox_structure_frozen():
@@ -447,7 +523,7 @@ def test_r_key_partition_is_oracle_r_classes_n_le_5():
                 ctx = Context(n, ys)
                 oracle = GreenOracle(ctx)
                 keys = [_r_key(f) for f in oracle.elements]
-                comps = oracle._graph(1)[0]
+                comps = oracle._graph(1)
                 assert len(set(keys)) == len(set(comps)) == len(set(zip(keys, comps))), ctx
     # any map has a key, member or not: the least point of each point's fiber
     for n in range(1, 5):
