@@ -119,7 +119,6 @@ class Context:
     y_set: tuple[int, ...]
     # set once, from y_set, in __post_init__
     y_frozen: frozenset[int] = field(init=False, repr=False, compare=False)
-    x_minus_y: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
@@ -132,7 +131,6 @@ class Context:
             if not isinstance(y, int) or isinstance(y, bool) or not 0 <= y < self.n:
                 raise DomainError(f"Y element {y!r} outside 0..{self.n - 1}")
         object.__setattr__(self, "y_frozen", frozenset(ys))
-        object.__setattr__(self, "x_minus_y", tuple(x for x in range(self.n) if x not in self.y_frozen))
 
     def __str__(self) -> str:
         return f"n={self.n} Y={{{','.join(map(str, self.y_set))}}}"

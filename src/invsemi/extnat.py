@@ -30,6 +30,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 
+from .core import carries_y
 from .errors import BudgetError, DimensionError, DomainError
 
 # Input limit: profiles with more explicit indices than this are refused
@@ -344,8 +345,6 @@ def profile_of(ctx, f) -> FiberProfile:
     Only defined for maps carrying Y onto Y, where every fiber over Y is
     nonempty; anything else raises DomainError.
     """
-    from .core import carries_y  # local import keeps module load order flat
-
     if not carries_y(ctx, f):
         raise DomainError(f"{f} does not carry Y onto Y; profile undefined")
     ys = ctx.y_set

@@ -46,7 +46,7 @@ def _checked_subset(ctx: Context, subset) -> tuple[Transformation, ...]:
         raise ValueError("need a nonempty subset")
     for f in fs:
         _require_member(ctx, f)
-    return tuple(sorted(fs, key=lambda f: f.images))
+    return fs
 
 
 def _by_deficit(ctx: Context) -> list[list[Transformation]]:

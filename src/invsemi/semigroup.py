@@ -19,14 +19,12 @@ is allowed to peek at the other.
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
 from operator import attrgetter, ne
 
 from .core import (
     Context,
     Transformation,
-    _trusted,
     _trusted_all,
     carries_y,
     compose,
@@ -44,21 +42,7 @@ RELATIONS = ("L", "R", "H", "D", "J")
 
 _images = attrgetter("images")
 
-DEFAULT_ENUM_BUDGET = 6
-DEFAULT_ORACLE_BUDGET = 6
-BUDGET_ENV = "INVSEMI_BUDGET"
-
-
-def _resolve_budget(budget: int | None) -> int:
-    if budget is not None:
-        return budget
-    env = os.environ.get(BUDGET_ENV)
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"{BUDGET_ENV} must be an integer, got {env!r}") from None
-    return DEFAULT_ENUM_BUDGET
+DEFAULT_ENUM_BUDGET = 6  # the largest n enumerated; the ``budget`` arguments override it
 
 
 @dataclass(frozen=True, slots=True)
@@ -87,17 +71,16 @@ def _candidates(ctx: Context, family: str) -> list[tuple[int, ...]]:
     return [((x,) if family == "fix" else ys) if x in ctx.y_frozen else every for x in range(ctx.n)]
 
 
-def _generate(ctx: Context, family: str, per_pos: list[tuple[int, ...]], budget: int | None = None):
+def _generate(ctx: Context, family: str, per_pos: list[tuple[int, ...]], budget: int = DEFAULT_ENUM_BUDGET):
     """The image tuples of the family's members in the product of ``per_pos``, lazily, in lexicographic order.
 
     ``per_pos`` is the family's candidates or a narrowing of them.  The two
     bijective-on-Y families also need distinct values at the Y positions.  Every
     candidate lies in range(n), so callers wrap the tuples with ``_trusted`` and
-    do not validate them again; the budget is checked first.
+    do not validate them again.  An n past ``budget`` raises BudgetError first.
     """
-    limit = _resolve_budget(budget)
-    if ctx.n > limit:
-        raise BudgetError(f"n={ctx.n} exceeds enumeration budget {limit}")
+    if ctx.n > budget:
+        raise BudgetError(f"n={ctx.n} exceeds enumeration budget {budget}")
     ys = ctx.y_set
     tuples = itertools.product(*per_pos)
     if family in ("sbar", "omegabar") and len(ys) > 1:  # one Y point is always distinct
@@ -105,26 +88,16 @@ def _generate(ctx: Context, family: str, per_pos: list[tuple[int, ...]], budget:
     return tuples
 
 
-def enumerate_family(ctx: Context, family: str = "omegabar", budget: int | None = None) -> SemigroupEnum:
-    """Enumerate a family in lexicographic order of image tuples, from per-position candidate lists."""
+def enumerate_family(ctx: Context, family: str = "omegabar", budget: int = DEFAULT_ENUM_BUDGET) -> SemigroupEnum:
+    """Enumerate a family in lexicographic order of image tuples; an n past ``budget`` raises BudgetError."""
     members = _trusted_all(list(_generate(ctx, family, _candidates(ctx, family), budget)))
     return SemigroupEnum(ctx=ctx, family=family, elements=members)
 
 
 def units(ctx: Context) -> tuple[Transformation, ...]:
-    """The invertible members: bijections of X carrying Y onto Y, sorted."""
-    ys, rest = ctx.y_set, ctx.x_minus_y
-    out = []
-    for perm_y in itertools.permutations(ys):
-        for perm_rest in itertools.permutations(rest):
-            imgs = [0] * ctx.n
-            for src, dst in zip(ys, perm_y):
-                imgs[src] = dst
-            for src, dst in zip(rest, perm_rest):
-                imgs[src] = dst
-            out.append(_trusted(tuple(imgs)))
-    out.sort(key=lambda f: f.images)
-    return tuple(out)
+    """The invertible members, lexicographic: the permutations of X (already in that order) carrying Y into Y."""
+    ys, yset = ctx.y_set, ctx.y_frozen
+    return _trusted_all([p for p in itertools.permutations(range(ctx.n)) if yset.issuperset(map(p.__getitem__, ys))])
 
 
 def _require_member(ctx: Context, f: Transformation) -> None:
@@ -258,34 +231,17 @@ def j_below_witness(
         return e, e
     if not j_below_holds(ctx, f, g):
         return None
-    ys, yset = ctx.y_set, ctx.y_frozen
-    ginv_y = {g.images[y]: y for y in ys}
-    beta = {y: ginv_y[f.images[y]] for y in ys}
+    yset = ctx.y_frozen
+    ginv_y = {g.images[y]: y for y in ctx.y_set}
     f_off = sorted(f.image() - yset)
     g_off = sorted(g.image() - yset)
-    psi = {y: y for y in ys}
-    psi.update(dict(zip(f_off, g_off)))
-    psi_back = {c: b for b, c in zip(f_off, g_off)}
-    fiber_f, fiber_g = fibers(f), fibers(g)
-
-    h_imgs = []
-    for x in range(ctx.n):
-        v = f.images[x]
-        if x in yset:
-            h_imgs.append(beta[x])
-        elif v in yset:
-            # route through the least Y-point of the same f-fiber
-            x2 = next(z for z in fiber_f[v] if z in yset)
-            h_imgs.append(beta[x2])
-        else:
-            h_imgs.append(fiber_g[psi[v]][0])
-    h2_imgs = []
-    for z in range(ctx.n):
-        if z in yset:
-            h2_imgs.append(z)
-        else:
-            h2_imgs.append(psi_back.get(z, 0))
-    h, h2 = Transformation(tuple(h_imgs)), Transformation(tuple(h2_imgs))
+    psi = dict(zip(f_off, g_off))
+    psi_back = dict(zip(g_off, f_off))
+    fiber_g = fibers(g)
+    # h sends x to g's one Y-preimage of f(x) in Y, else to the least preimage of
+    # f(x)'s partner in Xg minus Y; h2 fixes Y and carries each partner back
+    h = Transformation(tuple(ginv_y[v] if v in yset else fiber_g[psi[v]][0] for v in f.images))
+    h2 = Transformation(tuple(z if z in yset else psi_back.get(z, 0) for z in range(ctx.n)))
     assert compose(h, compose(g, h2)).images == f.images, "witness failed recomposition"
     assert carries_y(ctx, h) and carries_y(ctx, h2)
     return h, h2
@@ -401,14 +357,14 @@ class GreenOracle:
     right one, H, D and J both), each graph's components, and the reach masks
     that only the below-queries and ``j_down_sets`` read.  The first side built
     runs the greedy walk and fixes the generators; the other is one product
-    column per generator.  A product outside the family is an error.
+    column per generator.  A product outside the family is an error.  The
+    members come from ``enumerate_family`` under ``budget``, so an n past it
+    raises BudgetError there.
     """
 
-    def __init__(self, ctx: Context, budget: int = DEFAULT_ORACLE_BUDGET):
-        if ctx.n > budget:
-            raise BudgetError(f"n={ctx.n} exceeds oracle budget {budget}")
+    def __init__(self, ctx: Context, budget: int = DEFAULT_ENUM_BUDGET):
         self.ctx = ctx
-        self.elements = enumerate_family(ctx, "omegabar").elements
+        self.elements = enumerate_family(ctx, "omegabar", budget).elements
         self._index = dict(zip(map(_images, self.elements), range(len(self.elements))))
         self._left = self._right = None  # each side's rows, built by _products
         self._side = 1  # the side the next _products call builds

@@ -57,7 +57,7 @@ from .extnat import (
 from .ideals import ideals_all, is_ideal, j_of_f, j_st, kernel
 from .regularity import _pre_inverse_scan, is_regular, is_regular_oracle, is_unit_regular, pre_inverses
 from .semigroup import (
-    DEFAULT_ORACLE_BUDGET,
+    DEFAULT_ENUM_BUDGET,
     GreenOracle,
     d_middle_witness,
     enumerate_family,
@@ -921,8 +921,8 @@ def run_verify(cfg: VerifyConfig) -> dict:
     """Run every check and return the report as plain data."""
     if cfg.max_n < 1:
         raise ValueError(f"max_n must be at least 1, got {cfg.max_n}")
-    if cfg.max_n > DEFAULT_ORACLE_BUDGET:  # every context past the cap could only report ``resource``
-        raise BudgetError(f"max_n={cfg.max_n} exceeds the oracle budget {DEFAULT_ORACLE_BUDGET}")
+    if cfg.max_n > DEFAULT_ENUM_BUDGET:  # every context past the cap could only report ``resource``
+        raise BudgetError(f"max_n={cfg.max_n} exceeds the oracle budget {DEFAULT_ENUM_BUDGET}")
     _apply_env_mutation()
     ctxs = _contexts(cfg)
     shard_args = [(cfg.seed, n, ys) for n, ys in ctxs]

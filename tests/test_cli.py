@@ -1,5 +1,6 @@
 """Command-line surface: output shapes, exit codes, determinism."""
 
+import ast
 import dataclasses
 import hashlib
 import itertools
@@ -45,21 +46,8 @@ def test_enum_bad_y_exits_2():
     assert main(["enum", "--n", "3", "--y", "3", "--family", "omegabar"]) == 2
 
 
-def test_enum_budget_exits_3():
-    env = dict(os.environ, INVSEMI_BUDGET="2")
-    r = subprocess.run(
-        [sys.executable, "-m", "invsemi", "enum", "--n", "3", "--y", "0"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert r.returncode == 3
-    assert "budget" in r.stderr
-
-
-@pytest.mark.parametrize("cmd", ["eggbox", "ideals", "kernel"])
-def test_family_commands_past_budget_exit_3(cmd, monkeypatch, capsys):
-    monkeypatch.delenv("INVSEMI_BUDGET", raising=False)
+@pytest.mark.parametrize("cmd", ["enum", "eggbox", "ideals", "kernel"])
+def test_family_commands_past_budget_exit_3(cmd, capsys):
     assert main([cmd, "--n", "7", "--y", "0"]) == 3
     assert "budget" in capsys.readouterr().err
 
@@ -498,6 +486,24 @@ def test_verify_mutant_detected():
     assert r.returncode == 1
     failing = [line.split()[1] for line in r.stdout.splitlines() if line.startswith("FAIL")]
     assert failing == ["green.L", "green.R", "green.D_compositions", "witness.L", "witness.R", "witness.J"]
+
+
+def test_only_the_mutation_switch_reads_the_environment():
+    # the one environment variable is INVSEMI_MUTATE, read by verify; every
+    # other setting is an argument
+    def readers(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.ImportFrom) and node.module == "os":
+            yield from ((where, "import") for a in node.names if a.name in ("environ", "getenv"))
+        if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"):
+            yield where, node.attr
+        for child in ast.iter_child_nodes(node):
+            yield from readers(child, where)
+
+    src = Path(cli.__file__).parent
+    found = {(path.name, *hit) for path in src.glob("*.py") for hit in readers(ast.parse(path.read_text()), None)}
+    assert found == {("verify.py", "_apply_env_mutation", "environ")}
 
 
 def test_kernel_check_catches_a_bigger_ideal(monkeypatch):

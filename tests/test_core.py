@@ -49,7 +49,6 @@ def test_transformation_validation():
 
 def test_context_validation():
     assert Context(3, (1, 0)).y_set == (0, 1)  # normalized sorted
-    assert Context(4, (2,)).x_minus_y == (0, 1, 3)
     with pytest.raises(DomainError):
         Context(3, ())
     with pytest.raises(DomainError):
@@ -67,9 +66,9 @@ def test_context_derived_sets_survive_copies():
     assert repr(ctx) == "Context(n=3, y_set=(0, 1))"
     for twin in (pickle.loads(pickle.dumps(ctx)), copy.deepcopy(ctx)):
         assert twin == ctx and hash(twin) == hash(ctx)
-        assert (twin.y_frozen, twin.x_minus_y) == (frozenset({0, 1}), (2,))
+        assert twin.y_frozen == frozenset({0, 1})
     moved = dataclasses.replace(ctx, y_set=(2,))
-    assert (moved.y_frozen, moved.x_minus_y) == (frozenset({2}), (0, 1))
+    assert moved.y_frozen == frozenset({2})
 
 
 def test_compose_left_to_right():

@@ -156,7 +156,7 @@ def test_ideals_are_the_oracle_down_sets_n_le_5():
 def _out_of_y_chain(ctx):
     # nested, n - |Y| + 1 of them, but not ideals: "at most t points of X\Y map outside Y"
     def outside(f):
-        return sum(f.images[x] not in ctx.y_frozen for x in ctx.x_minus_y)
+        return sum(f.images[x] not in ctx.y_frozen for x in range(ctx.n) if x not in ctx.y_frozen)
 
     elems = enumerate_family(ctx).elements
     k = len(ctx.y_set)

@@ -229,6 +229,29 @@ def test_j_below_witness_frozen():
     assert j_below_witness(C31, T("[0 1 2]"), T("[0 1 0]")) is None
 
 
+def _witness_digests(ctx):
+    """SHA-256 of ``units`` and, for n <= 4, of ``j_below_witness`` on every ordered pair of members."""
+    row = {"units": hashlib.sha256(" ".join(map(str, units(ctx))).encode()).hexdigest()}
+    if ctx.n <= 4:
+        elems = enumerate_family(ctx).elements
+        digest = hashlib.sha256()
+        for f, g in itertools.product(elems, repeat=2):
+            pair = j_below_witness(ctx, f, g)
+            digest.update(f"{f} {g} {'-' if pair is None else ' '.join(map(str, pair))}\n".encode())
+        row["j_below_witness"] = digest.hexdigest()
+    return row
+
+
+def test_witness_outputs_match_recorded_digests():
+    # recorded before the J witness was built straight from g's Y-preimages
+    # and the units from the permutations of X
+    recorded = json.loads((Path(__file__).parent / "data" / "witness_sha256.json").read_text())
+    assert len(recorded) == sum(2**n - 1 for n in range(1, 7))  # every nonempty Y over n = 1..6
+    for row in recorded:
+        ctx = Context(row["n"], tuple(row["y"]))
+        assert {"n": ctx.n, "y": list(ctx.y_set), **_witness_digests(ctx)} == row
+
+
 def test_witnesses_lex_least():
     elems = enumerate_family(C31).elements
     for f, g in itertools.product(elems, repeat=2):
@@ -269,6 +292,19 @@ def test_oracle_budget():
         GreenOracle(Context(6, (0,)), budget=5)
     with pytest.raises(BudgetError):
         GreenOracle(Context(7, (0,)))
+
+
+def test_oracle_takes_the_enumeration_budget_n7():
+    # one budget reaches both the enumeration and the oracle built on it
+    ctx = Context(7, (0, 1, 2, 3, 4))
+    oracle = GreenOracle(ctx, budget=7)
+    elems = oracle.elements
+    assert len(elems) == math.factorial(5) * 7**2
+    rng = random.Random(7)
+    for _ in range(50):
+        f, g = rng.choice(elems), rng.choice(elems)
+        for rel, h in itertools.product(("L", "R", "H", "D", "J"), (f, g)):
+            assert oracle.related(rel, f, h) == green_related(ctx, rel, f, h), (rel, f, h)
 
 
 def test_characterizations_match_oracle_sampled_n6():
