@@ -11,7 +11,6 @@ from __future__ import annotations
 import collections
 import functools
 import sys
-from operator import itemgetter
 from types import SimpleNamespace
 
 from .core import (
@@ -187,28 +186,22 @@ def cmd_eggbox(args) -> int:
     return 0
 
 
-def _ideal_docs(ctx: Context, ideals) -> list[dict]:
-    """One document per ideal; a member shared by several is formatted, and its deficit taken, once.
+def _ideal_docs(ideals) -> list[dict]:
+    """One document per ideal of the deficit chain, whose t-th ideal has largest deficit t.
 
-    One table maps a member to (text, image size); Y lies inside, so the deficit is the size less |Y|.
+    A member shared by several ideals is formatted once; the last ideal of the chain holds them all.
     """
-    seen: dict = {}  # images -> member, over all the ideals
-    for ideal in ideals:
-        seen.update(zip(map(_images, ideal.members), ideal.members))
-    row_of = dict(zip(seen, zip(map(format_transformation, seen.values()), map(len, map(set, seen)))))
-    del seen  # released early: at n = 6 the tables of this call set the peak memory of a process
-    docs = []
-    for ideal in ideals:
-        rows = list(map(row_of.__getitem__, map(_images, ideal.members)))
-        docs.append(
-            {
-                "size": len(rows),
-                "t": max(map(itemgetter(1), rows)) - len(ctx.y_set) if rows else None,
-                "members": list(map(itemgetter(0), rows)),
-                "warning": ideal.warning,
-            }
-        )
-    return docs
+    last = ideals[-1].members
+    text_of = dict(zip(map(_images, last), map(format_transformation, last)))
+    return [
+        {
+            "size": len(ideal.members),
+            "t": t,
+            "members": list(map(text_of.__getitem__, map(_images, ideal.members))),
+            "warning": ideal.warning,
+        }
+        for t, ideal in enumerate(ideals)
+    ]
 
 
 def cmd_ideals(args) -> int:
@@ -218,7 +211,7 @@ def cmd_ideals(args) -> int:
         "n": ctx.n,
         "y": list(ctx.y_set),
         "count": len(found),
-        "ideals": _ideal_docs(ctx, found),
+        "ideals": _ideal_docs(found),
     }
     if args.format == "text":
         lines = [f"count={len(found)}"]
@@ -234,7 +227,7 @@ def cmd_ideals(args) -> int:
 def cmd_kernel(args) -> int:
     ctx = _ctx_of(args)
     bottom = kernel(ctx)
-    doc = {"n": ctx.n, "y": list(ctx.y_set), **_ideal_docs(ctx, [bottom])[0]}
+    doc = {"n": ctx.n, "y": list(ctx.y_set), **_ideal_docs([bottom])[0]}
     if args.format == "text":
         lines = [f"size={doc['size']} t={doc['t']}", *(f"  {m}" for m in doc["members"])]
         sys.stdout.write("\n".join(lines) + "\n")

@@ -9,8 +9,9 @@ singles out four nested families of maps, from the loosest to the tightest:
     sbar      f restricted to Y is a bijection of Y
     fix       f restricted to Y is the identity on Y
 
-On a finite ambient set, sbar and omegabar coincide; both flags are still
-computed independently so the coincidence can be checked, not assumed.
+On a finite ambient set, sbar and omegabar coincide; ``classify`` decides
+them by two predicates on one set of Y's values (equal to Y, against inside
+Y with |Y| elements), so the coincidence is checked, not assumed.
 
 There are two product kernels, both in C.  ``product`` multiplies two raw
 image tuples with one itemgetter; the definitional searches multiply tuples
@@ -219,22 +220,20 @@ def carries_y(ctx: Context, f: Transformation) -> bool:
 
 
 def classify(ctx: Context, f: Transformation) -> MembershipFlags:
-    """Membership of f in each of the four families over ctx."""
-    in_omegabar = carries_y(ctx, f)
+    """Membership of f in each family over ctx; sbar and omegabar are two tests on one set of Y's values."""
+    if len(f.images) != ctx.n:
+        raise DimensionError(f"map on {len(f.images)} points in a context with n={ctx.n}")
     ys = ctx.y_set
-    vals = [f.images[y] for y in ys]
-    yset = ctx.y_frozen
-    in_tbar = all(v in yset for v in vals)
-    injective_on_y = len(set(vals)) == len(ys)
-    in_sbar = in_tbar and injective_on_y
-    in_fix = all(f.images[y] == y for y in ys)
-    is_unit = in_omegabar and f.is_bijection()
+    vals = tuple(map(f.images.__getitem__, ys))
+    seen = set(vals)
+    in_tbar = seen <= ctx.y_frozen
+    in_omegabar = seen == ctx.y_frozen
     return MembershipFlags(
         in_tbar=in_tbar,
         in_omegabar=in_omegabar,
-        in_sbar=in_sbar,
-        in_fix=in_fix,
-        is_unit_of_omegabar=is_unit,
+        in_sbar=in_tbar and len(seen) == len(ys),
+        in_fix=vals == ys,
+        is_unit_of_omegabar=in_omegabar and f.is_bijection(),
     )
 
 

@@ -26,6 +26,7 @@ import math
 import os
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import core
 from .core import (
@@ -126,33 +127,30 @@ def _definitional_flags(ctx: Context, imgs: tuple[int, ...]) -> tuple[bool, ...]
 
 
 class _CtxData:
-    """Per-context lazy cache so checks in one shard share the heavy objects."""
+    """Per-context lazy cache so checks in one shard share the heavy objects.
+
+    The properties call library functions by their module-global names, so wrappers on this module see the calls.
+    """
 
     def __init__(self, ctx: Context):
         self.ctx = ctx
-        self._flag_table: list[tuple[bool, ...]] | None = None
         self._enums: dict[str, tuple[Transformation, ...]] = {}
-        self._units: tuple[Transformation, ...] | None = None
-        self._oracle: GreenOracle | None = None
         self._ideal_verdicts: dict[frozenset[tuple[int, ...]], bool] = {}
-        self._ideals = None
-        self._eggbox = None
 
     def enum(self, family: str = "omegabar") -> tuple[Transformation, ...]:
         if family not in self._enums:
             self._enums[family] = enumerate_family(self.ctx, family).elements
         return self._enums[family]
 
+    @cached_property
     def flag_table(self) -> list[tuple[bool, ...]]:
-        """``_definitional_flags`` of every map of X, in lexicographic order, computed once.
+        """``_definitional_flags`` of every map of X, in lexicographic order.
 
         Images (a_0, ..., a_{n-1}) sit at a_0 n^(n-1) + ... + a_{n-1}.  A list costs one
         pointer per map; a dict keyed by images would keep a tuple per map.
         """
-        if self._flag_table is None:
-            n = self.ctx.n
-            self._flag_table = [_definitional_flags(self.ctx, imgs) for imgs in itertools.product(range(n), repeat=n)]
-        return self._flag_table
+        n = self.ctx.n
+        return [_definitional_flags(self.ctx, imgs) for imgs in itertools.product(range(n), repeat=n)]
 
     def flags(self, imgs: tuple[int, ...]) -> tuple[bool, ...]:
         """``_definitional_flags`` of a map: from the table up to EXHAUSTIVE_MAPS_LIMIT maps of X."""
@@ -162,27 +160,33 @@ class _CtxData:
         code = 0
         for v in imgs:
             code = code * n + v
-        return self.flag_table()[code]
+        return self.flag_table[code]
 
+    @cached_property
     def units(self) -> tuple[Transformation, ...]:
-        if self._units is None:
-            self._units = units(self.ctx)
-        return self._units
+        return units(self.ctx)  # semigroup.units: class attributes are not in scope in a method
 
+    @cached_property
     def oracle(self) -> GreenOracle:
-        if self._oracle is None:
-            self._oracle = GreenOracle(self.ctx)
-        return self._oracle
+        return GreenOracle(self.ctx)
 
+    @cached_property
     def ideals(self):
-        if self._ideals is None:
-            self._ideals = ideals_all(self.ctx)
-        return self._ideals
+        return ideals_all(self.ctx)
 
+    @cached_property
     def eggbox(self):
-        if self._eggbox is None:
-            self._eggbox = eggbox(self.ctx)
-        return self._eggbox
+        return eggbox(self.ctx)
+
+    def ideal_holds(self, members) -> bool:
+        """``is_ideal``, multiplying by the oracle's generators: exact at every n, 2·|I|·|gens| products.
+
+        ``is_ideal`` is pure, so each distinct set of members is decided once per context.
+        """
+        key = frozenset(f.images for f in members)
+        if key not in self._ideal_verdicts:
+            self._ideal_verdicts[key] = is_ideal(self.ctx, members, by=self.oracle.generators)
+        return self._ideal_verdicts[key]
 
 
 def _ex(data: _CtxData, **kv) -> dict:
@@ -202,17 +206,6 @@ def _pair_iter(data: _CtxData, elems, rng: random.Random, exhaustive_up_to: int,
 def _member_iter(data: _CtxData, elems, rng: random.Random, count: int):
     """Every member of ``elems`` up to n = 4, else ``count`` seeded draws."""
     return (f for (f,) in _pair_iter(data, elems, rng, 4, count, arity=1))
-
-
-def _ideal_holds(data: _CtxData, members) -> bool:
-    """``is_ideal``, multiplying by the oracle's generators: exact at every n, 2·|I|·|gens| products.
-
-    ``is_ideal`` is pure, so each distinct set of members is decided once per context.
-    """
-    key = frozenset(f.images for f in members)
-    if key not in data._ideal_verdicts:
-        data._ideal_verdicts[key] = is_ideal(data.ctx, members, by=data.oracle().generators)
-    return data._ideal_verdicts[key]
 
 
 # --- context-scoped checks ---------------------------------------------------
@@ -241,7 +234,7 @@ def _check_count_family(data: _CtxData, rng: random.Random):
             return checked, _ex(data, family=family, detail="duplicate elements")
     # full completeness oracle: filter every map of X by the definitions
     if n**n <= EXHAUSTIVE_MAPS_LIMIT:
-        table = data.flag_table()
+        table = data.flag_table
         checked += len(table)
         for family, members in sets.items():
             i = _FLAG[family]
@@ -256,21 +249,22 @@ def _check_count_family(data: _CtxData, rng: random.Random):
 def _check_count_units(data: _CtxData, rng: random.Random):
     ctx = data.ctx
     n, k = ctx.n, len(ctx.y_set)
-    us = data.units()
+    us = data.units
     checked = len(us)
     if len(us) != math.factorial(k) * math.factorial(n - k):
         return checked, _ex(data, got=len(us), want=math.factorial(k) * math.factorial(n - k))
     member = {f.images for f in data.enum()}
+    unit_images = {u.images for u in us}
     ident = tuple(range(n))
     for u in us:
-        if u.images not in member:
-            return checked, _ex(data, unit=u, detail="unit not a member")
         ui = u.images
-        inv = next((v for v in us if product(ui, v.images) == ident and product(v.images, ui) == ident), None)
-        if inv is None:
+        if ui not in member:
+            return checked, _ex(data, unit=u, detail="unit not a member")
+        # a two-sided inverse is unique: the points sorted by image, when u is a bijection
+        inv = tuple(sorted(range(n), key=ui.__getitem__))
+        if inv not in unit_images or product(ui, inv) != ident or product(inv, ui) != ident:
             return checked, _ex(data, unit=u, detail="no two-sided inverse among units")
-    bijections = {f.images for f in data.enum() if f.is_bijection()}
-    if bijections != {u.images for u in us}:
+    if {f.images for f in data.enum() if f.is_bijection()} != unit_images:
         return checked, _ex(data, detail="units differ from bijective members")
     return checked, None
 
@@ -300,7 +294,7 @@ def _check_membership(data: _CtxData, rng: random.Random):
     n = ctx.n
     checked = 0
     if n**n <= EXHAUSTIVE_MAPS_LIMIT:
-        cases = zip(itertools.product(range(n), repeat=n), data.flag_table())
+        cases = zip(itertools.product(range(n), repeat=n), data.flag_table)
     else:
         draws = (tuple(rng.randrange(n) for _ in range(n)) for _ in range(20_000))
         cases = ((imgs, _definitional_flags(ctx, imgs)) for imgs in draws)
@@ -386,7 +380,7 @@ def _check_profile_concrete(data: _CtxData, rng: random.Random):
 def _make_green_check(rel: str):
     def run(data: _CtxData, rng: random.Random):
         ctx = data.ctx
-        oracle = data.oracle()
+        oracle = data.oracle
         checked = 0
         for f, g in _pair_iter(data, data.enum(), rng, 4, SAMPLE_PAIRS):
             want = oracle.related(rel, f, g)
@@ -401,7 +395,7 @@ def _make_green_check(rel: str):
 
 def _check_d_eq_j(data: _CtxData, rng: random.Random):
     """Finite D equals J, on the oracle side; the characterizations share one expression."""
-    oracle = data.oracle()
+    oracle = data.oracle
     checked = 0
     for f, g in _pair_iter(data, data.enum(), rng, 4, SAMPLE_PAIRS):
         checked += 1
@@ -412,7 +406,7 @@ def _check_d_eq_j(data: _CtxData, rng: random.Random):
 
 def _check_d_compositions(data: _CtxData, rng: random.Random):
     """On the oracle side L-then-R and R-then-L agree, and its first middle is the built one."""
-    oracle = data.oracle()
+    oracle = data.oracle
     checked = 0
     for f, g in _pair_iter(data, data.enum(), rng, 3, SAMPLE_PAIRS // 4):
         middle = oracle.d_middle(f, g)
@@ -438,7 +432,7 @@ def _make_witness_check(side: str, build: str, below: str, mul):
 
     def run(data: _CtxData, rng: random.Random):
         ctx = data.ctx
-        oracle = data.oracle()
+        oracle = data.oracle
         elems = data.enum()
         checked = 0
         for f, g in _pair_iter(data, elems, rng, 3, SAMPLE_WITNESS_PAIRS):
@@ -460,7 +454,7 @@ def _make_witness_check(side: str, build: str, below: str, mul):
 
 def _check_j_witness(data: _CtxData, rng: random.Random):
     ctx = data.ctx
-    oracle = data.oracle()
+    oracle = data.oracle
     checked = 0
     for f, g in _pair_iter(data, data.enum(), rng, 3, SAMPLE_WITNESS_PAIRS):
         checked += 1
@@ -503,7 +497,7 @@ def _check_unit_regular(data: _CtxData, rng: random.Random):
         if p is None or compose(f, compose(p, f)).images != f.images:
             return checked, _ex(data, f=f, detail="pre-inverse witness recomposition")
         fi = f.images
-        first_u = next((v for v in data.units() if product(fi, product(v.images, fi)) == fi), None)
+        first_u = next((v for v in data.units if product(fi, product(v.images, fi)) == fi), None)
         if u != first_u:
             return checked, _ex(data, f=f, u=u, detail="unit witness is not the first matching unit")
         first_p = next(_pre_inverse_scan(ctx, f, "omegabar"), None)
@@ -530,21 +524,19 @@ def _check_ideal_down_sets(data: _CtxData, rng: random.Random):
     m = len(elems)
     checked = 0
     if ctx.n <= 3:
-        subset_masks = range(1, 1 << m)
+        subsets = ([elems[i] for i in range(m) if mask >> i & 1] for mask in range(1, 1 << m))
     else:
         # 2^m subsets are too many from n = 4 up; the down-sets of a few small
         # random generating sets are already most of the family
-        subset_masks = (
-            sum(1 << i for i in rng.sample(range(m), rng.randrange(1, 3)))
-            for _ in range(SAMPLE_SUBSETS)
+        subsets = (
+            [elems[i] for i in sorted(rng.sample(range(m), rng.randrange(1, 3)))] for _ in range(SAMPLE_SUBSETS)
         )
-    for mask in subset_masks:
-        subset = [elems[i] for i in range(m) if mask >> i & 1]
+    for subset in subsets:
         down = j_of_f(ctx, subset)
         checked += 1
-        if not _ideal_holds(data, down.members):
+        if not data.ideal_holds(down.members):
             return checked, _ex(data, subset=[str(f) for f in subset], detail="down-set is not an ideal")
-        if _ideal_holds(data, subset) and down.as_set() != {f.images for f in subset}:
+        if data.ideal_holds(subset) and down.as_set() != {f.images for f in subset}:
             return checked, _ex(data, subset=[str(f) for f in subset], detail="ideal not equal to its down-set")
     return checked, None
 
@@ -552,7 +544,7 @@ def _check_ideal_down_sets(data: _CtxData, rng: random.Random):
 def _check_ideal_enumerate(data: _CtxData, rng: random.Random):
     """The deficit chain is every ideal: the oracle's down-sets of its J-order, as sets of members."""
     ctx = data.ctx
-    found = data.ideals()
+    found = data.ideals
     n, k = ctx.n, len(ctx.y_set)
     checked = len(found)
     if len(found) != n - k + 1:
@@ -561,7 +553,7 @@ def _check_ideal_enumerate(data: _CtxData, rng: random.Random):
     for a, b in zip(sets, sets[1:]):
         if not a <= b:
             return checked, _ex(data, detail="ideals do not form a chain")
-    if set(sets) != set(data.oracle().j_down_sets()):
+    if set(sets) != set(data.oracle.j_down_sets()):
         return checked, _ex(data, detail="ideals differ from the oracle's J down-sets")
     for ideal in found:
         if ctx.n >= 5 and len(ideal.members) > 150:
@@ -571,7 +563,7 @@ def _check_ideal_enumerate(data: _CtxData, rng: random.Random):
             continue
         if j_of_f(ctx, ideal.members).as_set() != ideal.as_set():
             return checked, _ex(data, detail="ideal is not its own down-set")
-        if not _ideal_holds(data, ideal.members):
+        if not data.ideal_holds(ideal.members):
             return checked, _ex(data, detail="listed ideal fails definitional check")
         checked += 1
     return checked, None
@@ -599,7 +591,7 @@ def _check_ideal_thresholds(data: _CtxData, rng: random.Random):
     if n > k:
         mid = j_st(ctx, k, 0)
         checked += 1
-        if not _ideal_holds(data, mid.members):
+        if not data.ideal_holds(mid.members):
             return checked, _ex(data, detail="bottom threshold set is not an ideal")
     return checked, None
 
@@ -607,14 +599,14 @@ def _check_ideal_thresholds(data: _CtxData, rng: random.Random):
 def _check_kernel(data: _CtxData, rng: random.Random):
     ctx = data.ctx
     bottom = kernel(ctx)
-    common = frozenset.intersection(*(ideal.as_set() for ideal in data.ideals()))
+    common = frozenset.intersection(*(ideal.as_set() for ideal in data.ideals))
     checked = 1
     if bottom.as_set() != common:
         return checked, _ex(data, detail="kernel differs from the intersection of all ideals")
     checked += 1
-    if not _ideal_holds(data, bottom.members):
+    if not data.ideal_holds(bottom.members):
         return checked, _ex(data, detail="kernel fails the definitional ideal check")
-    box = data.eggbox()
+    box = data.eggbox
     bottom_class = box.d_classes[-1]
     members = {
         e.images for row in bottom_class.cells for cell in row for e in cell.elements
@@ -627,7 +619,7 @@ def _check_kernel(data: _CtxData, rng: random.Random):
 
 def _check_eggbox(data: _CtxData, rng: random.Random):
     ctx = data.ctx
-    box = data.eggbox()
+    box = data.eggbox
     n, k = ctx.n, len(ctx.y_set)
     checked = 1
     if len(box.d_classes) != n - k + 1:
@@ -640,7 +632,7 @@ def _check_eggbox(data: _CtxData, rng: random.Random):
         return checked, _ex(data, detail="D-classes not in descending deficit order")
     top = box.d_classes[0]
     top_members = {e.images for row in top.cells for cell in row for e in cell.elements}
-    if top_members != {u.images for u in data.units()}:
+    if top_members != {u.images for u in data.units}:
         return checked, _ex(data, detail="top D-class is not the unit group")
     for grid in box.d_classes:
         cell_sizes = {len(c.elements) for row in grid.cells for c in row}

@@ -515,6 +515,47 @@ def test_kernel_check_catches_a_bigger_ideal(monkeypatch):
     assert ex["detail"] == "kernel differs from the intersection of all ideals"
 
 
+def test_units_check_catches_a_unit_without_inverse(monkeypatch):
+    real = verify.units
+
+    def skewed(ctx):
+        us = list(real(ctx))
+        assert str(us[4]) == "[0 3 1 2]"
+        us[4] = parse_transformation("[0 1 1 1]")  # a member, but not a bijection
+        return tuple(us)
+
+    monkeypatch.setattr(verify, "units", skewed)
+    checked, ex = verify._check_count_units(verify._CtxData(Context(4, (0,))), random.Random(0))
+    # the inverse of [0 2 3 1] was [0 3 1 2], and the units come in order
+    assert (checked, ex["unit"], ex["detail"]) == (6, "[0 2 3 1]", "no two-sided inverse among units")
+
+
+def test_down_set_check_draws_recorded_subsets(monkeypatch):
+    real = verify.j_of_f
+    drawn = []
+
+    def recording(ctx, subset):
+        drawn.append(tuple(map(str, subset)))
+        return real(ctx, subset)
+
+    monkeypatch.setattr(verify, "j_of_f", recording)
+    want = {
+        (4, (0,)): [
+            ("[0 1 1 3]",), ("[0 1 0 1]",), ("[0 0 0 0]", "[0 3 1 0]"),
+            ("[0 0 1 3]", "[0 1 0 2]"), ("[0 1 1 2]", "[0 2 1 3]"), ("[0 0 1 3]", "[0 3 1 0]"),
+        ],
+        (5, (0, 1)): [
+            ("[0 1 0 2 0]",), ("[1 0 1 3 4]", "[1 0 1 4 0]"), ("[0 1 2 2 1]",),
+            ("[0 1 2 4 0]", "[1 0 1 1 1]"), ("[1 0 2 1 4]",), ("[1 0 1 0 1]", "[1 0 3 3 2]"),
+        ],
+    }  # fmt: skip
+    for (n, ys), subsets in want.items():
+        drawn.clear()
+        rng = verify._rng_for(7, "ideal.down_sets", n, ys)
+        assert verify._check_ideal_down_sets(verify._CtxData(Context(n, ys)), rng) == (6, None)
+        assert drawn == subsets
+
+
 def test_transversal_check_catches_a_non_least_certificate(monkeypatch):
     real = verify.is_unit_regular
 

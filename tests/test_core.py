@@ -260,7 +260,7 @@ def test_carries_y_and_image_deficit_are_the_set_definitions_n_le_4():
                 for f in maps:
                     assert carries_y(ctx, f) == ({f.images[y] for y in ys} == set(ys))
                     assert image_deficit(ctx, f) == len({v for v in f.images if v not in ys})
-    for call in (carries_y, image_deficit):
+    for call in (carries_y, image_deficit, classify):
         with pytest.raises(DimensionError, match="map on 2 points in a context with n=3"):
             call(C31, T("[0 1]"))
         with pytest.raises(DimensionError, match="map on 4 points in a context with n=3"):
