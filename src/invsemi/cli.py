@@ -16,7 +16,8 @@ from types import SimpleNamespace
 from .core import (
     Context,
     classify,
-    format_transformation,
+    _images,
+    format_all,
     image_deficit,
     indented_json,
     parse_transformation,
@@ -30,7 +31,7 @@ from .extnat import (
     parse_profile,
     profile_of,
 )
-from .ideals import _images, ideals_all, kernel
+from .ideals import ideals_all, kernel
 from .regularity import is_unit_regular
 from .semigroup import (
     GreenOracle,
@@ -64,11 +65,11 @@ def cmd_enum(args) -> int:
             "y": list(ctx.y_set),
             "family": enum.family,
             "count": len(enum.elements),
-            "elements": list(map(format_transformation, enum.elements)),
+            "elements": format_all(enum.elements),
         }
         print(indented_json(doc))
     else:
-        lines = [f"count={len(enum.elements)}", *map(format_transformation, enum.elements)]
+        lines = [f"count={len(enum.elements)}", *format_all(enum.elements)]
         sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
@@ -192,7 +193,7 @@ def _ideal_docs(ideals) -> list[dict]:
     A member shared by several ideals is formatted once; the last ideal of the chain holds them all.
     """
     last = ideals[-1].members
-    text_of = dict(zip(map(_images, last), map(format_transformation, last)))
+    text_of = dict(zip(map(_images, last), format_all(last)))
     return [
         {
             "size": len(ideal.members),

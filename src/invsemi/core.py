@@ -19,9 +19,10 @@ with it and build a Transformation only for what they return, and
 ``compose`` is its dimension-checked wrapper.  ``product_columns`` multiplies
 every member of a family by one member at a time, on either side, with
 ``bytes.translate`` over the members held as bytes; the Green oracle builds
-its Cayley graphs from it.  Both honour ``_MUTATION``.  One cached
-``str.format`` writes a bracket form, and ``indented_json`` writes indented
-JSON without the stdlib's Python encoder.
+its Cayley graphs from it.  Both honour ``_MUTATION``.  A cached
+``str.format`` writes one map's bracket form; ``format_all`` writes a whole
+family's at once, as byte columns up to n = 10; and ``indented_json`` writes
+indented JSON without the stdlib's Python encoder.
 
 Image tuples are validated where maps enter from outside the program: the
 public ``Transformation(...)`` constructor, ``parse_transformation`` and
@@ -37,8 +38,8 @@ import functools
 import json
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import repeat
-from operator import itemgetter
+from itertools import chain, repeat
+from operator import attrgetter, itemgetter
 
 from .errors import DimensionError, DomainError
 
@@ -86,6 +87,7 @@ class Transformation:
         return format_transformation(self)
 
 
+_images = attrgetter("images")
 _new_object = object.__new__
 _set_images = Transformation.images.__set__  # the slot, past the frozen __setattr__
 
@@ -124,13 +126,14 @@ class Context:
     def __post_init__(self) -> None:
         if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
             raise DomainError(f"ambient size must be a positive int, got {self.n!r}")
-        ys = tuple(sorted(set(self.y_set)))
-        object.__setattr__(self, "y_set", ys)
-        if not ys:
-            raise DomainError("Y must be nonempty")
-        for y in ys:
+        given = tuple(self.y_set)
+        for y in given:  # every element, before de-duplication can drop one
             if not isinstance(y, int) or isinstance(y, bool) or not 0 <= y < self.n:
                 raise DomainError(f"Y element {y!r} outside 0..{self.n - 1}")
+        if not given:
+            raise DomainError("Y must be nonempty")
+        ys = tuple(sorted(set(given)))
+        object.__setattr__(self, "y_set", ys)
         object.__setattr__(self, "y_frozen", frozenset(ys))
 
     def __str__(self) -> str:
@@ -278,6 +281,26 @@ def _bracket_format(n: int):
 
 def format_transformation(f: Transformation) -> str:
     return _bracket_format(len(f.images))(*f.images)
+
+
+_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")  # an image v < 10 to its ASCII digit
+
+
+def format_all(fs) -> list[str]:
+    """``format_transformation`` of each map in fs, maps on one n, in one bulk pass up to n = 10.
+
+    There every form is 2n + 2 bytes with its newline: one template of brackets,
+    spaces and newline per map, and each digit column written in by one strided
+    slice from all images, taken as one bytes object and translated at once.
+    """
+    n = len(fs[0].images) if fs else 0
+    if n > 10:  # two-digit images: one map at a time
+        return list(map(format_transformation, fs))
+    digits = bytes(chain.from_iterable(map(_images, fs))).translate(_DIGITS)
+    out = bytearray(b"[" + b" " * (2 * n - 1) + b"]\n") * len(fs)
+    for i in range(n):
+        out[2 * i + 1 :: 2 * n + 2] = digits[i::n]
+    return out.decode().splitlines()
 
 
 def parse_transformation(text: str) -> Transformation:

@@ -16,10 +16,11 @@ warning instead of pretending the cut is interesting.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
-from .core import Context, Transformation, _trusted_all, identity, image_deficit, product
+from .core import Context, Transformation, _images, _trusted_all, identity, image_deficit, product
 from .extnat import as_extnat, n_value, profile_of
-from .semigroup import _generate, _images, _require_member, enumerate_family
+from .semigroup import _generate, _require_member, enumerate_family
 
 
 @dataclass(frozen=True, slots=True)
@@ -49,19 +50,16 @@ def _checked_subset(ctx: Context, subset) -> tuple[Transformation, ...]:
     return fs
 
 
-def _by_deficit(ctx: Context) -> list[list[Transformation]]:
-    """The members by image deficit 0..n-|Y|, each bucket in lexicographic order, from one enumeration."""
-    ny = len(ctx.y_set)
-    buckets: list[list[Transformation]] = [[] for _ in range(ctx.n - ny + 1)]
-    for f in enumerate_family(ctx, "omegabar").elements:
-        buckets[len(set(f.images)) - ny].append(f)
-    return buckets
+def _sized_members(ctx: Context) -> tuple[tuple[Transformation, ...], list[int]]:
+    """The members in lexicographic order, from one enumeration, and the size of each one's image."""
+    members = enumerate_family(ctx, "omegabar").elements
+    return members, list(map(len, map(set, map(_images, members))))
 
 
 def _cut(ctx: Context, t: int) -> tuple[Transformation, ...]:
     """The members of image deficit at most t, in lexicographic order."""
-    bound = t + len(ctx.y_set)
-    return tuple(f for f in enumerate_family(ctx, "omegabar").elements if len(set(f.images)) <= bound)
+    members, sizes = _sized_members(ctx)
+    return tuple(compress(members, map((t + len(ctx.y_set)).__ge__, sizes)))
 
 
 def j_of_f(ctx: Context, subset) -> IdealSet:
@@ -104,23 +102,21 @@ def j_classes(ctx: Context) -> tuple[tuple[Transformation, ...], ...]:
     Over a finite Y that is equality of image deficits, a member's image size
     less |Y|; classes come in order of their first member.
     """
-    return tuple(sorted(map(tuple, _by_deficit(ctx)), key=lambda c: c[0].images))
+    members, sizes = _sized_members(ctx)
+    classes = [tuple(compress(members, map(size.__eq__, sizes))) for size in range(len(ctx.y_set), ctx.n + 1)]
+    return tuple(sorted(classes, key=lambda c: c[0].images))
 
 
 def ideals_all(ctx: Context) -> tuple[IdealSet, ...]:
     """Every ideal: the deficit chain, smallest first.
 
-    Each cut is the one below it merged with the next deficit bucket, one sort
-    of their concatenation that Timsort does by merging the two sorted runs,
-    so the cuts share their members.
+    One enumeration and one pass for the image sizes; the t-th cut keeps the
+    members whose image size is at most t + |Y|, by mask, so each cut is
+    already in lexicographic order and the cuts share their members.
     """
-    out: list[IdealSet] = []
-    members: list[Transformation] = []
-    for bucket in _by_deficit(ctx):
-        members += bucket
-        members.sort(key=_images)
-        out.append(IdealSet(ctx=ctx, members=tuple(members)))
-    return tuple(out)
+    members, sizes = _sized_members(ctx)
+    bounds = range(len(ctx.y_set), ctx.n + 1)  # image sizes |Y|..n: deficits 0..n-|Y|
+    return tuple(IdealSet(ctx=ctx, members=tuple(compress(members, map(b.__ge__, sizes)))) for b in bounds)
 
 
 def j_st(ctx: Context, s: int | float, t: int) -> IdealSet:

@@ -36,7 +36,7 @@ class RegularityReport:
 
 
 def _pre_inverse_scan(ctx: Context, f: Transformation, family: str):
-    """The members g of the family with f g f = f, lazily, in lexicographic order.
+    """The members g of the family with f g f = f, in lexicographic order, as ``_generate`` yields them.
 
     f g f = f exactly when (v g) f = v for every v in Xf: position v of g keeps
     the family's candidates z with z f = v, and every other position keeps all.

@@ -19,28 +19,27 @@ is allowed to peek at the other.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict, deque
 from dataclasses import dataclass
-from operator import attrgetter, ne
+from operator import itemgetter, ne
 
 from .core import (
     Context,
     Transformation,
+    _images,
     _trusted_all,
     carries_y,
     compose,
     fibers,
-    format_transformation,
+    format_all,
     identity,
     image_deficit,
-    product,
     product_columns,
 )
 from .errors import BudgetError, DomainError
 
 FAMILIES = ("tbar", "omegabar", "sbar", "fix")
 RELATIONS = ("L", "R", "H", "D", "J")
-
-_images = attrgetter("images")
 
 DEFAULT_ENUM_BUDGET = 6  # the largest n enumerated; the ``budget`` arguments override it
 
@@ -72,20 +71,29 @@ def _candidates(ctx: Context, family: str) -> list[tuple[int, ...]]:
 
 
 def _generate(ctx: Context, family: str, per_pos: list[tuple[int, ...]], budget: int = DEFAULT_ENUM_BUDGET):
-    """The image tuples of the family's members in the product of ``per_pos``, lazily, in lexicographic order.
+    """The image tuples of the family's members in the product of ``per_pos``, in lexicographic order.
 
-    ``per_pos`` is the family's candidates or a narrowing of them.  The two
-    bijective-on-Y families also need distinct values at the Y positions.  Every
-    candidate lies in range(n), so callers wrap the tuples with ``_trusted`` and
-    do not validate them again.  An n past ``budget`` raises BudgetError first.
+    ``per_pos`` (the family's candidates or a narrowing of them) keeps Y in Y.
+    The bijective-on-Y families are generated directly: the bijections of Y the
+    Y positions allow, times the product over the other positions, put in
+    position order by one itemgetter and sorted unless Y is a prefix of X.
+    Otherwise it is the plain product, lazily.  Every candidate is in range(n),
+    so callers wrap the tuples with ``_trusted`` unchecked.
     """
-    if ctx.n > budget:
+    if ctx.n > budget:  # before any work
         raise BudgetError(f"n={ctx.n} exceeds enumeration budget {budget}")
     ys = ctx.y_set
-    tuples = itertools.product(*per_pos)
-    if family in ("sbar", "omegabar") and len(ys) > 1:  # one Y point is always distinct
-        tuples = (imgs for imgs in tuples if len({imgs[y] for y in ys}) == len(ys))
-    return tuples
+    if family not in ("sbar", "omegabar") or len(ys) == 1:
+        return itertools.product(*per_pos)
+    rest = [x for x in range(ctx.n) if x not in ctx.y_frozen]
+    heads = [()]  # the values at Y, one position at a time: each among its candidates and not yet used
+    for cands in map(per_pos.__getitem__, ys):
+        heads = [h + (v,) for h in heads for v in cands if v not in h]
+    free = itertools.product(*map(per_pos.__getitem__, rest))
+    tuples = itertools.starmap(tuple.__add__, itertools.product(heads, free))
+    if ys == tuple(range(len(ys))):  # Y first, then the rest: already in position and lexicographic order
+        return tuples
+    return sorted(map(itemgetter(*map([*ys, *rest].index, range(ctx.n))), tuples))
 
 
 def enumerate_family(ctx: Context, family: str = "omegabar", budget: int = DEFAULT_ENUM_BUDGET) -> SemigroupEnum:
@@ -548,32 +556,30 @@ class EggBox:
 def eggbox(ctx: Context) -> EggBox:
     """Group the family into D-classes and lay each out as an R-by-L grid.
 
-    One pass puts each member into its (deficit, R key, L key) cell, with the
-    keys r_related and l_related compare; the deficit is read off the same
-    image set as the L key, which contains Y.  Members come in lexicographic
-    order, so rows and columns appear in order of their least member and every
-    cell is already sorted.
+    Each member goes, in C passes, into the cell of its R key and L key (the
+    kernel key and image set that r_related and l_related compare); members
+    come in lexicographic order, so cells, rows and columns appear in order of
+    their least member.  Cells are split into D-classes by image deficit.  A
+    cell holds an idempotent iff its image meets each kernel block once: an
+    idempotent fixes its image pointwise, and conversely the map sending each
+    block to its image point is idempotent with the cell's kernel and image.
     """
-    ny = len(ctx.y_set)
-    by_d: dict[int, dict[tuple, list[Transformation]]] = {}
-    for f in enumerate_family(ctx, "omegabar").elements:
-        img = f.image()
-        by_d.setdefault(len(img) - ny, {}).setdefault((_r_key(f), img), []).append(f)
+    members = enumerate_family(ctx, "omegabar").elements
+    cells: defaultdict[tuple, list[Transformation]] = defaultdict(list)
+    keys = zip(map(_r_key, members), map(frozenset, map(_images, members)))
+    deque(map(list.append, map(cells.__getitem__, keys), members), maxlen=0)
+    by_d: defaultdict[int, list[tuple]] = defaultdict(list)
+    for key in cells:
+        by_d[len(key[1]) - len(ctx.y_set)].append(key)
 
-    grids: list[DClassGrid] = []
+    def cell(rk: tuple[int, ...], lk: frozenset[int]) -> HCell:
+        assert (rk, lk) in cells, "every R-by-L intersection inside a D-class is nonempty"
+        return HCell(elements=tuple(cells[rk, lk]), has_idempotent=len(set(map(rk.__getitem__, lk))) == len(lk))
+
+    grids = []
     for deficit in sorted(by_d, reverse=True):
-        by_cell = by_d[deficit]
-        cols = dict.fromkeys(lk for _, lk in by_cell)
-        cells = []
-        for rk in dict.fromkeys(rk for rk, _ in by_cell):
-            row_cells = []
-            for lk in cols:
-                cell = tuple(by_cell.get((rk, lk), ()))
-                assert cell, "every R-by-L intersection inside a D-class is nonempty"
-                idem = any(product(e.images, e.images) == e.images for e in cell)
-                row_cells.append(HCell(elements=cell, has_idempotent=idem))
-            cells.append(tuple(row_cells))
-        grids.append(DClassGrid(deficit=deficit, cells=tuple(cells)))
+        rows, cols = dict.fromkeys(rk for rk, _ in by_d[deficit]), dict.fromkeys(lk for _, lk in by_d[deficit])
+        grids.append(DClassGrid(deficit=deficit, cells=tuple(tuple(cell(rk, lk) for lk in cols) for rk in rows)))
 
     reps = [grid.cells[0][0].elements[0] for grid in grids]
     pairs = [(i, j) for i, j in itertools.permutations(range(len(grids)), 2) if j_below_holds(ctx, reps[i], reps[j])]
@@ -622,6 +628,8 @@ def eggbox_dot(box: EggBox) -> str:
 
 
 def eggbox_json(box: EggBox) -> dict:
+    # every member formatted in one pass, then read back cell by cell in the same order
+    texts = iter(format_all([f for grid in box.d_classes for row in grid.cells for c in row for f in c.elements]))
     return {
         "n": box.ctx.n,
         "y": list(box.ctx.y_set),
@@ -632,7 +640,7 @@ def eggbox_json(box: EggBox) -> dict:
                 "cells": [
                     [
                         {
-                            "elements": list(map(format_transformation, cell.elements)),
+                            "elements": list(itertools.islice(texts, len(cell.elements))),
                             "idempotent": cell.has_idempotent,
                         }
                         for cell in row

@@ -663,6 +663,8 @@ def _check_eggbox(data: _CtxData, rng: random.Random):
             checked += 1
             if not green_related(ctx, "H", e, e2):
                 return checked, _ex(data, f=e, g=e2, detail="cellmates are not H-related")
+            if cell.has_idempotent != any(product(x.images, x.images) == x.images for x in cell.elements):
+                return checked, _ex(data, f=e, got=cell.has_idempotent, detail="idempotent flag vs squares")
     return checked, None
 
 

@@ -584,6 +584,28 @@ def test_pre_inverse_check_catches_an_escaped_map(monkeypatch):
     assert ex["detail"] == "pre-inverse escaped sbar"
 
 
+def test_eggbox_check_catches_a_wrong_idempotent_flag(monkeypatch):
+    real = verify.eggbox
+
+    def flipped(ctx):
+        # D-class 1 (deficit 2) at (4,{1}): cell (1, 2) holds no idempotent; claim one
+        box = real(ctx)
+        grid = box.d_classes[1]
+        cells = [list(row) for row in grid.cells]
+        assert str(cells[1][2].elements[0]) == "[2 1 1 3]" and not cells[1][2].has_idempotent
+        cells[1][2] = dataclasses.replace(cells[1][2], has_idempotent=True)
+        grids = list(box.d_classes)
+        grids[1] = dataclasses.replace(grid, cells=tuple(map(tuple, cells)))
+        return dataclasses.replace(box, d_classes=tuple(grids))
+
+    monkeypatch.setattr(verify, "eggbox", flipped)
+    rows = verify._run_context((7, 4, (1,)))
+    failing = {label: ex for label, status, _, ex in rows if status != "pass"}
+    # every row and column still holds an idempotent, so only the squares catch it
+    assert list(failing) == ["eggbox.grid"]
+    assert failing["eggbox.grid"]["detail"] == "idempotent flag vs squares"
+
+
 def test_flag_table_is_indexed_by_images():
     for ctx in (Context(3, (0,)), Context(4, (1, 3))):
         data = verify._CtxData(ctx)

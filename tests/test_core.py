@@ -30,6 +30,7 @@ from invsemi import (
 )
 from invsemi import core
 from invsemi.core import fibers, indented_json, product
+from invsemi.semigroup import FAMILIES, enumerate_family
 
 T = parse_transformation
 C31 = Context(3, (0, 1))
@@ -59,6 +60,31 @@ def test_context_validation():
         Context(2, (True,))
     with pytest.raises(DomainError):
         Context(True, (0,))
+
+
+def test_context_validates_every_given_element():
+    # each element is checked before duplicates are merged, so a bool equal to
+    # a point, or a non-integer, is refused wherever it stands
+    for ys in ((1, True), (True, 1), (2, "a")):
+        with pytest.raises(DomainError):
+            Context(3, ys)
+    assert Context(3, (2, 1, 2)).y_set == (1, 2)
+    assert Context(3, iter((2, 0))).y_set == (0, 2)  # any iterable is read once
+
+
+def test_format_all_matches_format_transformation():
+    for n in range(1, 7):
+        for ys in {(0,), (n - 1,), tuple(range(0, n, 2))}:
+            for family in FAMILIES:
+                fs = enumerate_family(Context(n, ys), family).elements
+                assert core.format_all(fs) == list(map(core.format_transformation, fs)), (n, ys, family)
+    rng = random.Random(22)
+    for n in range(7, 13):  # past n = 10 the images take two digits and the fallback runs
+        fs = [Transformation(tuple(rng.randrange(n) for _ in range(n))) for _ in range(50)]
+        want = list(map(core.format_transformation, fs))
+        assert core.format_all(fs) == want
+        assert core.format_all(tuple(fs)) == want
+    assert core.format_all([]) == [] and core.format_all(()) == []
 
 
 def test_context_derived_sets_survive_copies():

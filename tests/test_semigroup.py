@@ -23,10 +23,14 @@ from invsemi import (
 )
 from invsemi.cli import main
 from invsemi.core import fibers, product, product_columns
+from invsemi.ideals import kernel
+from invsemi.regularity import pre_inverses
 from invsemi.semigroup import (
     FAMILIES,
     GreenOracle,
+    _candidates,
     _cayley_graphs,
+    _generate,
     _r_key,
     d_middle_witness,
     d_related,
@@ -97,6 +101,41 @@ def test_enum_bad_family():
     with pytest.raises(ValueError):
         enumerate_family(C31, "nope")
     assert set(FAMILIES) == {"tbar", "omegabar", "sbar", "fix"}
+
+
+def _filtered(ctx, family, per_pos):
+    """The definition over a candidate product: the bijective-on-Y families keep the tuples with Yf = Y."""
+    ys, yset = ctx.y_set, ctx.y_frozen
+    tuples = itertools.product(*per_pos)
+    if family in ("sbar", "omegabar"):
+        return [t for t in tuples if set(map(t.__getitem__, ys)) == yset]
+    return list(tuples)
+
+
+def test_direct_generation_matches_filtered_product():
+    for ctx in _all_contexts(6):
+        for family in FAMILIES:
+            want = _filtered(ctx, family, _candidates(ctx, family))
+            assert list(_generate(ctx, family, _candidates(ctx, family))) == want, (ctx, family)
+        # the kernel: maps into Y, bijective on Y
+        assert [f.images for f in kernel(ctx)] == _filtered(ctx, "omegabar", [ctx.y_set] * ctx.n), ctx
+
+
+def test_direct_generation_on_narrowed_candidates():
+    # the candidates _pre_inverse_scan narrows to: position v in Xf keeps the z with z f = v
+    rng = random.Random(22)
+    for ctx in _all_contexts(5):
+        for family in FAMILIES:
+            members = enumerate_family(ctx, family).elements
+            if ctx.n == 5:
+                members = rng.sample(members, min(20, len(members)))
+            for f in members:
+                per_pos = _candidates(ctx, family)
+                for v in set(f.images):
+                    per_pos[v] = tuple(z for z in per_pos[v] if f.images[z] == v)
+                want = _filtered(ctx, family, per_pos)
+                assert list(_generate(ctx, family, per_pos)) == want, (ctx, family, f)
+                assert [g.images for g in pre_inverses(ctx, f, family)] == want, (ctx, family, f)
 
 
 def test_units_frozen():
@@ -603,6 +642,16 @@ def test_idempotent_cells_are_groups():
                     have = {e.images for e in cell.elements}
                     for a, b in itertools.product(cell.elements, repeat=2):
                         assert compose(a, b).images in have
+
+
+def test_idempotent_flags_match_squares():
+    # the flag is read off kernel and image; here it is decided by squaring every member
+    for ctx in _all_contexts(4):
+        for grid in eggbox(ctx).d_classes:
+            for row in grid.cells:
+                for cell in row:
+                    squares = any(product(e.images, e.images) == e.images for e in cell.elements)
+                    assert cell.has_idempotent == squares, (ctx, cell)
 
 
 def test_eggbox_text_and_dot():
