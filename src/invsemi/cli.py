@@ -101,11 +101,9 @@ def cmd_classify(args) -> int:
         doc["regularity"] = {
             "is_regular": rep.is_regular,
             "is_unit_regular": rep.is_unit_regular,
-            "witness_pre_inverse": str(rep.witness_pre_inverse) if rep.witness_pre_inverse else None,
-            "witness_unit": str(rep.witness_unit) if rep.witness_unit else None,
-            "certifying_transversal": sorted(rep.certifying_transversal)
-            if rep.certifying_transversal is not None
-            else None,
+            "witness_pre_inverse": str(rep.witness_pre_inverse),
+            "witness_unit": str(rep.witness_unit),
+            "certifying_transversal": sorted(rep.certifying_transversal),
         }
     else:
         doc["reason"] = "not a member: Y is not carried onto Y"
@@ -140,8 +138,7 @@ def cmd_green(args) -> int:
         "witnesses": None,
     }
     if ctx.n <= ORACLE_CROSS_CHECK_LIMIT:
-        oracle = GreenOracle(ctx)
-        doc["oracle"] = oracle.related(rel, f, g)
+        doc["oracle"] = GreenOracle(enumerate_family(ctx)).related(rel, f, g)
     if args.witness:
         w: dict = {}
         if rel in ("L", "H"):
@@ -177,7 +174,7 @@ def cmd_green(args) -> int:
 
 
 def cmd_eggbox(args) -> int:
-    box = eggbox(_ctx_of(args))
+    box = eggbox(enumerate_family(_ctx_of(args)))
     if args.format == "dot":
         sys.stdout.write(eggbox_dot(box))
     elif args.format == "json":
@@ -207,7 +204,7 @@ def _ideal_docs(ideals) -> list[dict]:
 
 def cmd_ideals(args) -> int:
     ctx = _ctx_of(args)
-    found = ideals_all(ctx)
+    found = ideals_all(enumerate_family(ctx))
     doc = {
         "n": ctx.n,
         "y": list(ctx.y_set),

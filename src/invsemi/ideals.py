@@ -10,7 +10,8 @@ pair (h, h2).  The threshold sets j_st carve members by two numbers: how
 many fibers over Y are smaller than Y itself, and how many image points
 fall outside Y.  Over a finite Y the first threshold is degenerate (every
 fiber of a bijection on Y is a singleton), which j_st reports through a
-warning instead of pretending the cut is interesting.
+warning instead of pretending the cut is interesting.  Every builder but
+``kernel`` reads the omegabar enumeration it is given and enumerates nothing.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from itertools import compress
 
 from .core import Context, Transformation, _images, _trusted_all, identity, image_deficit, product
 from .extnat import as_extnat, n_value, profile_of
-from .semigroup import _generate, _require_member, enumerate_family
+from .semigroup import SemigroupEnum, _generate, _omegabar, _require_member
 
 
 @dataclass(frozen=True, slots=True)
@@ -50,30 +51,31 @@ def _checked_subset(ctx: Context, subset) -> tuple[Transformation, ...]:
     return fs
 
 
-def _sized_members(ctx: Context) -> tuple[tuple[Transformation, ...], list[int]]:
-    """The members in lexicographic order, from one enumeration, and the size of each one's image."""
-    members = enumerate_family(ctx, "omegabar").elements
-    return members, list(map(len, map(set, map(_images, members))))
+def _sized(family: SemigroupEnum) -> tuple[Context, tuple[Transformation, ...], list[int]]:
+    """An omegabar enumeration's context and members, and the size of each member's image."""
+    ctx, members = _omegabar(family)
+    return ctx, members, list(map(len, map(set, map(_images, members))))
 
 
-def _cut(ctx: Context, t: int) -> tuple[Transformation, ...]:
+def _cut(family: SemigroupEnum, t: int) -> tuple[Transformation, ...]:
     """The members of image deficit at most t, in lexicographic order."""
-    members, sizes = _sized_members(ctx)
+    ctx, members, sizes = _sized(family)
     return tuple(compress(members, map((t + len(ctx.y_set)).__ge__, sizes)))
 
 
-def j_of_f(ctx: Context, subset) -> IdealSet:
+def j_of_f(family: SemigroupEnum, subset) -> IdealSet:
     """The divisibility down-set of a nonempty subset: all f below some g.
 
     Over a finite Y two-sided divisibility is the image-deficit order, so f
     lies below some g exactly when its deficit is at most the largest
     deficit among the g.
     """
+    ctx = family.ctx
     gens = _checked_subset(ctx, subset)
-    return IdealSet(ctx=ctx, members=_cut(ctx, max(image_deficit(ctx, g) for g in gens)))
+    return IdealSet(ctx=ctx, members=_cut(family, max(image_deficit(ctx, g) for g in gens)))
 
 
-def is_ideal(ctx: Context, subset, by=None) -> bool:
+def is_ideal(family: SemigroupEnum, subset, by=None) -> bool:
     """Definitional check: h f and f h stay inside, for every h in ``by``.
 
     ``by`` defaults to every member.  That is the two-sided definition (h f h2
@@ -84,10 +86,11 @@ def is_ideal(ctx: Context, subset, by=None) -> bool:
     factor at a time.  The products are taken on image tuples.  Elements of
     ``by`` must be members, as those of ``subset`` must.
     """
+    ctx, members = _omegabar(family)
     fs = [f.images for f in _checked_subset(ctx, subset)]
     inside = set(fs)
     if by is None:
-        by = enumerate_family(ctx, "omegabar").elements
+        by = members
     else:
         by = tuple(by)
         for h in by:
@@ -96,37 +99,38 @@ def is_ideal(ctx: Context, subset, by=None) -> bool:
     return all(product(h, f) in inside and product(f, h) in inside for f in fs for h in elems)
 
 
-def j_classes(ctx: Context) -> tuple[tuple[Transformation, ...], ...]:
+def j_classes(family: SemigroupEnum) -> tuple[tuple[Transformation, ...], ...]:
     """Partition of the family under mutual two-sided divisibility.
 
     Over a finite Y that is equality of image deficits, a member's image size
     less |Y|; classes come in order of their first member.
     """
-    members, sizes = _sized_members(ctx)
+    ctx, members, sizes = _sized(family)
     classes = [tuple(compress(members, map(size.__eq__, sizes))) for size in range(len(ctx.y_set), ctx.n + 1)]
     return tuple(sorted(classes, key=lambda c: c[0].images))
 
 
-def ideals_all(ctx: Context) -> tuple[IdealSet, ...]:
-    """Every ideal: the deficit chain, smallest first.
+def ideals_all(family: SemigroupEnum) -> tuple[IdealSet, ...]:
+    """Every ideal of an omegabar enumeration: the deficit chain, smallest first.
 
-    One enumeration and one pass for the image sizes; the t-th cut keeps the
-    members whose image size is at most t + |Y|, by mask, so each cut is
-    already in lexicographic order and the cuts share their members.
+    One pass for the image sizes; the t-th cut keeps the members whose image
+    size is at most t + |Y|, by mask, so each cut is already in lexicographic
+    order and the cuts share their members.
     """
-    members, sizes = _sized_members(ctx)
+    ctx, members, sizes = _sized(family)
     bounds = range(len(ctx.y_set), ctx.n + 1)  # image sizes |Y|..n: deficits 0..n-|Y|
     return tuple(IdealSet(ctx=ctx, members=tuple(compress(members, map(b.__ge__, sizes)))) for b in bounds)
 
 
-def j_st(ctx: Context, s: int | float, t: int) -> IdealSet:
+def j_st(family: SemigroupEnum, s: int | float, t: int) -> IdealSet:
     """Members with at most s small fibers over Y and image deficit at most t."""
+    ctx = _omegabar(family)[0]  # a wrong family fails whatever s and t are
     s_val = as_extnat(s)
     if not isinstance(t, int) or isinstance(t, bool) or not 0 <= t <= ctx.n - len(ctx.y_set):
         raise ValueError(f"deficit threshold t must lie in 0..{ctx.n - len(ctx.y_set)}, got {t!r}")
     # every member's profile over a finite Y is all ones, like the identity's
     small = n_value(profile_of(ctx, identity(ctx.n)), len(ctx.y_set))
-    members = _cut(ctx, t) if small <= s_val else ()
+    members = _cut(family, t) if small <= s_val else ()
     warning = None
     if not members:
         warning = (

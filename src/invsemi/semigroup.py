@@ -41,7 +41,7 @@ from .errors import BudgetError, DomainError
 FAMILIES = ("tbar", "omegabar", "sbar", "fix")
 RELATIONS = ("L", "R", "H", "D", "J")
 
-DEFAULT_ENUM_BUDGET = 6  # the largest n enumerated; the ``budget`` arguments override it
+DEFAULT_ENUM_BUDGET = 6  # enumerate_family's cap on n unless its budget= says otherwise; the builders read its result
 
 
 @dataclass(frozen=True, slots=True)
@@ -57,9 +57,6 @@ class SemigroupEnum:
 
     def __iter__(self):
         return iter(self.elements)
-
-    def as_set(self) -> frozenset[tuple[int, ...]]:
-        return frozenset(f.images for f in self.elements)
 
 
 def _candidates(ctx: Context, family: str) -> list[tuple[int, ...]]:
@@ -100,6 +97,13 @@ def enumerate_family(ctx: Context, family: str = "omegabar", budget: int = DEFAU
     """Enumerate a family in lexicographic order of image tuples; an n past ``budget`` raises BudgetError."""
     members = _trusted_all(list(_generate(ctx, family, _candidates(ctx, family), budget)))
     return SemigroupEnum(ctx=ctx, family=family, elements=members)
+
+
+def _omegabar(family: SemigroupEnum) -> tuple[Context, tuple[Transformation, ...]]:
+    """The context and members of an omegabar enumeration; the egg-box and the ideals describe that family only."""
+    if family.family != "omegabar":
+        raise ValueError(f"need the omegabar family, got {family.family!r}")
+    return family.ctx, family.elements
 
 
 def units(ctx: Context) -> tuple[Transformation, ...]:
@@ -354,9 +358,9 @@ def _components(succ: list) -> list[int]:
 
 
 class GreenOracle:
-    """Green's relations from the definitions, on the Cayley graphs of the family.
+    """Green's relations from the definitions, on the Cayley graphs of an enumerated family.
 
-    The family is a monoid generated by a greedy generating set, so f <=_R g
+    Each family is a monoid generated by a greedy generating set, so f <=_R g
     (f = g h for a member h) is reachability from g in the right Cayley graph
     (x -> x a per generator a), f <=_L g in the left one (x -> a x) and f <=_J g
     in their union.  L, R and J are the strongly connected components; the
@@ -366,13 +370,13 @@ class GreenOracle:
     that only the below-queries and ``j_down_sets`` read.  The first side built
     runs the greedy walk and fixes the generators; the other is one product
     column per generator.  A product outside the family is an error.  The
-    members come from ``enumerate_family`` under ``budget``, so an n past it
-    raises BudgetError there.
+    members are the ``enumerate_family`` result it is given, of any family;
+    nothing is enumerated here.
     """
 
-    def __init__(self, ctx: Context, budget: int = DEFAULT_ENUM_BUDGET):
-        self.ctx = ctx
-        self.elements = enumerate_family(ctx, "omegabar", budget).elements
+    def __init__(self, family: SemigroupEnum):
+        self.ctx = family.ctx
+        self.elements = family.elements
         self._index = dict(zip(map(_images, self.elements), range(len(self.elements))))
         self._left = self._right = None  # each side's rows, built by _products
         self._side = 1  # the side the next _products call builds
@@ -553,8 +557,8 @@ class EggBox:
     j_below_pairs: tuple[tuple[int, int], ...]
 
 
-def eggbox(ctx: Context) -> EggBox:
-    """Group the family into D-classes and lay each out as an R-by-L grid.
+def eggbox(family: SemigroupEnum) -> EggBox:
+    """Group an omegabar enumeration (any other family raises ValueError) into D-classes, each an R-by-L grid.
 
     Each member goes, in C passes, into the cell of its R key and L key (the
     kernel key and image set that r_related and l_related compare); members
@@ -564,7 +568,7 @@ def eggbox(ctx: Context) -> EggBox:
     idempotent fixes its image pointwise, and conversely the map sending each
     block to its image point is idempotent with the cell's kernel and image.
     """
-    members = enumerate_family(ctx, "omegabar").elements
+    ctx, members = _omegabar(family)
     cells: defaultdict[tuple, list[Transformation]] = defaultdict(list)
     keys = zip(map(_r_key, members), map(frozenset, map(_images, members)))
     deque(map(list.append, map(cells.__getitem__, keys), members), maxlen=0)

@@ -60,6 +60,7 @@ from .regularity import _pre_inverse_scan, is_regular, is_regular_oracle, is_uni
 from .semigroup import (
     DEFAULT_ENUM_BUDGET,
     GreenOracle,
+    SemigroupEnum,
     d_middle_witness,
     enumerate_family,
     eggbox,
@@ -127,19 +128,19 @@ def _definitional_flags(ctx: Context, imgs: tuple[int, ...]) -> tuple[bool, ...]
 
 
 class _CtxData:
-    """Per-context lazy cache so checks in one shard share the heavy objects.
+    """Per-context lazy cache: one enumeration per family, and the heavy objects built from it, for a shard's checks.
 
     The properties call library functions by their module-global names, so wrappers on this module see the calls.
     """
 
     def __init__(self, ctx: Context):
         self.ctx = ctx
-        self._enums: dict[str, tuple[Transformation, ...]] = {}
+        self._enums: dict[str, SemigroupEnum] = {}
         self._ideal_verdicts: dict[frozenset[tuple[int, ...]], bool] = {}
 
-    def enum(self, family: str = "omegabar") -> tuple[Transformation, ...]:
+    def enum(self, family: str = "omegabar") -> SemigroupEnum:
         if family not in self._enums:
-            self._enums[family] = enumerate_family(self.ctx, family).elements
+            self._enums[family] = enumerate_family(self.ctx, family)
         return self._enums[family]
 
     @cached_property
@@ -168,15 +169,15 @@ class _CtxData:
 
     @cached_property
     def oracle(self) -> GreenOracle:
-        return GreenOracle(self.ctx)
+        return GreenOracle(self.enum())
 
     @cached_property
     def ideals(self):
-        return ideals_all(self.ctx)
+        return ideals_all(self.enum())
 
     @cached_property
     def eggbox(self):
-        return eggbox(self.ctx)
+        return eggbox(self.enum())
 
     def ideal_holds(self, members) -> bool:
         """``is_ideal``, multiplying by the oracle's generators: exact at every n, 2·|I|·|gens| products.
@@ -185,7 +186,7 @@ class _CtxData:
         """
         key = frozenset(f.images for f in members)
         if key not in self._ideal_verdicts:
-            self._ideal_verdicts[key] = is_ideal(self.ctx, members, by=self.oracle.generators)
+            self._ideal_verdicts[key] = is_ideal(self.enum(), members, by=self.oracle.generators)
         return self._ideal_verdicts[key]
 
 
@@ -195,17 +196,18 @@ def _ex(data: _CtxData, **kv) -> dict:
     return out
 
 
-def _pair_iter(data: _CtxData, elems, rng: random.Random, exhaustive_up_to: int, count: int, arity: int = 2):
-    """Every ``arity``-tuple of ``elems`` up to ``exhaustive_up_to`` points, else ``count`` seeded draws."""
+def _pair_iter(data: _CtxData, members, rng: random.Random, exhaustive_up_to: int, count: int, arity: int = 2):
+    """Every ``arity``-tuple of ``members`` up to ``exhaustive_up_to`` points, else ``count`` seeded draws."""
+    elems = members.elements
     if data.ctx.n <= exhaustive_up_to:
         return itertools.product(elems, repeat=arity)
     m = len(elems)
     return (tuple(elems[rng.randrange(m)] for _ in range(arity)) for _ in range(count))
 
 
-def _member_iter(data: _CtxData, elems, rng: random.Random, count: int):
-    """Every member of ``elems`` up to n = 4, else ``count`` seeded draws."""
-    return (f for (f,) in _pair_iter(data, elems, rng, 4, count, arity=1))
+def _member_iter(data: _CtxData, members, rng: random.Random, count: int):
+    """Every one of ``members`` up to n = 4, else ``count`` seeded draws."""
+    return (f for (f,) in _pair_iter(data, members, rng, 4, count, arity=1))
 
 
 # --- context-scoped checks ---------------------------------------------------
@@ -520,7 +522,7 @@ def _check_pre_inverse(data: _CtxData, rng: random.Random):
 
 def _check_ideal_down_sets(data: _CtxData, rng: random.Random):
     ctx = data.ctx
-    elems = data.enum()
+    elems = data.enum().elements
     m = len(elems)
     checked = 0
     if ctx.n <= 3:
@@ -532,7 +534,7 @@ def _check_ideal_down_sets(data: _CtxData, rng: random.Random):
             [elems[i] for i in sorted(rng.sample(range(m), rng.randrange(1, 3)))] for _ in range(SAMPLE_SUBSETS)
         )
     for subset in subsets:
-        down = j_of_f(ctx, subset)
+        down = j_of_f(data.enum(), subset)
         checked += 1
         if not data.ideal_holds(down.members):
             return checked, _ex(data, subset=[str(f) for f in subset], detail="down-set is not an ideal")
@@ -561,7 +563,7 @@ def _check_ideal_enumerate(data: _CtxData, rng: random.Random):
             # the down-set scan is linear in the family, but lifting this skip
             # would change the checked counts of existing n = 5 reports
             continue
-        if j_of_f(ctx, ideal.members).as_set() != ideal.as_set():
+        if j_of_f(data.enum(), ideal.members).as_set() != ideal.as_set():
             return checked, _ex(data, detail="ideal is not its own down-set")
         if not data.ideal_holds(ideal.members):
             return checked, _ex(data, detail="listed ideal fails definitional check")
@@ -574,22 +576,22 @@ def _check_ideal_thresholds(data: _CtxData, rng: random.Random):
     n, k = ctx.n, len(ctx.y_set)
     checked = 0
     for t in range(0, n - k + 1):
-        cut = j_st(ctx, k, t)
+        cut = j_st(data.enum(), k, t)
         want = {f.images for f in data.enum() if image_deficit(ctx, f) <= t}
         checked += 1
         if cut.as_set() != want or cut.warning is not None:
             return checked, _ex(data, t=t, detail="deficit threshold set wrong")
-    full = j_st(ctx, k, n - k)
+    full = j_st(data.enum(), k, n - k)
     checked += 1
     if full.as_set() != {f.images for f in data.enum()}:
         return checked, _ex(data, detail="full threshold set is not everything")
     if k >= 2:
-        empty = j_st(ctx, k - 1, n - k)
+        empty = j_st(data.enum(), k - 1, n - k)
         checked += 1
         if empty.members or empty.warning is None:
             return checked, _ex(data, detail="degenerate threshold should be empty with warning")
     if n > k:
-        mid = j_st(ctx, k, 0)
+        mid = j_st(data.enum(), k, 0)
         checked += 1
         if not data.ideal_holds(mid.members):
             return checked, _ex(data, detail="bottom threshold set is not an ideal")

@@ -112,8 +112,8 @@ def test_criterion_04_green_agreement():
     t0 = time.monotonic()
     rels = ("L", "R", "H", "D", "J")
     for ctx in all_contexts(4):
-        oracle = GreenOracle(ctx)
-        elems = enumerate_family(ctx).elements
+        oracle = GreenOracle(enumerate_family(ctx))
+        elems = oracle.elements
         for f, g in itertools.product(elems, repeat=2):
             for rel in rels:
                 assert green_related(ctx, rel, f, g) == oracle.related(rel, f, g), (
@@ -123,8 +123,8 @@ def test_criterion_04_green_agreement():
     pairs_checked = 0
     for ys in ((0,), (0, 1)):
         ctx = Context(5, ys)
-        oracle = GreenOracle(ctx)
-        elems = enumerate_family(ctx).elements
+        oracle = GreenOracle(enumerate_family(ctx))
+        elems = oracle.elements
         rng = random.Random(f"acceptance-green-{ys}")
         for _ in range(512):
             f = elems[rng.randrange(len(elems))]
@@ -168,13 +168,13 @@ def _witness_pair_check(ctx, oracle, f, g):
 def test_criterion_06_witness_soundness():
     t0 = time.monotonic()
     for ctx in all_contexts(3):
-        oracle = GreenOracle(ctx)
-        elems = enumerate_family(ctx).elements
+        oracle = GreenOracle(enumerate_family(ctx))
+        elems = oracle.elements
         for f, g in itertools.product(elems, repeat=2):
             _witness_pair_check(ctx, oracle, f, g)
     for ctx in (c for c in all_contexts(4) if c.n == 4):
-        oracle = GreenOracle(ctx)
-        elems = enumerate_family(ctx).elements
+        oracle = GreenOracle(enumerate_family(ctx))
+        elems = oracle.elements
         rng = random.Random(f"acceptance-witness-{ctx.y_set}")
         for _ in range(300):
             f = elems[rng.randrange(len(elems))]
@@ -188,18 +188,19 @@ def test_criterion_07_ideals():
     t0 = time.monotonic()
     # every nonempty subset's down-set is an ideal, at n = 3, every Y
     for ctx in (c for c in all_contexts(3) if c.n == 3):
-        elems = enumerate_family(ctx).elements
-        m = len(elems)
+        members = enumerate_family(ctx)
+        elems, m = members.elements, len(members)
         for mask in range(1, 1 << m):
             subset = [elems[i] for i in range(m) if mask >> i & 1]
-            down = j_of_f(ctx, subset)
-            assert is_ideal(ctx, down.members), (ctx, subset)
+            down = j_of_f(members, subset)
+            assert is_ideal(members, down.members), (ctx, subset)
     # every ideal is a fixed point of the down-set closure
     for ctx in all_contexts(4):
-        found = ideals_all(ctx)
+        members = enumerate_family(ctx)
+        found = ideals_all(members)
         assert len(found) == ctx.n - len(ctx.y_set) + 1, ctx
         for ideal in found:
-            assert j_of_f(ctx, ideal.members).as_set() == ideal.as_set(), ctx
+            assert j_of_f(members, ideal.members).as_set() == ideal.as_set(), ctx
     elapsed = time.monotonic() - t0
     report("criterion 7: down-sets are ideals; ideals are fixed points; chain count", elapsed)
 
@@ -207,10 +208,10 @@ def test_criterion_07_ideals():
 def test_criterion_08_kernel():
     t0 = time.monotonic()
     for ctx in all_contexts(4):
-        bottom = kernel(ctx)
-        want = {f.images for f in enumerate_family(ctx) if f.image() == ctx.y_frozen}
+        bottom, family = kernel(ctx), enumerate_family(ctx)
+        want = {f.images for f in family if f.image() == ctx.y_frozen}
         assert bottom.as_set() == want, ctx
-        box = eggbox(ctx)
+        box = eggbox(family)
         members = {
             e.images
             for row in box.d_classes[-1].cells
@@ -218,7 +219,7 @@ def test_criterion_08_kernel():
             for e in cell.elements
         }
         assert members == set(bottom.as_set()), ctx
-        for ideal in ideals_all(ctx):
+        for ideal in ideals_all(family):
             assert bottom.as_set() <= ideal.as_set(), ctx
     elapsed = time.monotonic() - t0
     report("criterion 8: kernel = image-equals-Y set = bottom D-class, n<=4", elapsed)

@@ -1,6 +1,7 @@
 """Command-line surface: output shapes, exit codes, determinism."""
 
 import ast
+import collections
 import dataclasses
 import hashlib
 import itertools
@@ -18,6 +19,7 @@ from invsemi.cli import build_parser, main
 from invsemi.core import fibers, indented_json
 from invsemi.errors import BudgetError
 from invsemi.ideals import ideals_all
+from invsemi.semigroup import DEFAULT_ENUM_BUDGET, FAMILIES, enumerate_family
 from invsemi.verify import VerifyConfig, pool_size, run_verify
 
 
@@ -509,7 +511,7 @@ def test_only_the_mutation_switch_reads_the_environment():
 def test_kernel_check_catches_a_bigger_ideal(monkeypatch):
     # kernel reads the closed form; the check holds it against the intersection
     # of all ideals
-    monkeypatch.setattr(verify, "kernel", lambda ctx: ideals_all(ctx)[1])
+    monkeypatch.setattr(verify, "kernel", lambda ctx: ideals_all(enumerate_family(ctx))[1])
     checked, ex = verify._check_kernel(verify._CtxData(Context(3, (0,))), random.Random(0))
     assert checked == 1
     assert ex["detail"] == "kernel differs from the intersection of all ideals"
@@ -534,9 +536,9 @@ def test_down_set_check_draws_recorded_subsets(monkeypatch):
     real = verify.j_of_f
     drawn = []
 
-    def recording(ctx, subset):
+    def recording(members, subset):
         drawn.append(tuple(map(str, subset)))
-        return real(ctx, subset)
+        return real(members, subset)
 
     monkeypatch.setattr(verify, "j_of_f", recording)
     want = {
@@ -587,9 +589,9 @@ def test_pre_inverse_check_catches_an_escaped_map(monkeypatch):
 def test_eggbox_check_catches_a_wrong_idempotent_flag(monkeypatch):
     real = verify.eggbox
 
-    def flipped(ctx):
+    def flipped(members):
         # D-class 1 (deficit 2) at (4,{1}): cell (1, 2) holds no idempotent; claim one
-        box = real(ctx)
+        box = real(members)
         grid = box.d_classes[1]
         cells = [list(row) for row in grid.cells]
         assert str(cells[1][2].elements[0]) == "[2 1 1 3]" and not cells[1][2].has_idempotent
@@ -604,6 +606,24 @@ def test_eggbox_check_catches_a_wrong_idempotent_flag(monkeypatch):
     # every row and column still holds an idempotent, so only the squares catch it
     assert list(failing) == ["eggbox.grid"]
     assert failing["eggbox.grid"]["detail"] == "idempotent flag vs squares"
+
+
+def test_run_context_enumerates_each_family_once(monkeypatch):
+    # every builder and check of a context reads the context's one enumeration of each family
+    real, calls = enumerate_family, collections.Counter()
+
+    def counting(ctx, family="omegabar", budget=DEFAULT_ENUM_BUDGET):
+        calls[family] += 1
+        return real(ctx, family, budget)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("invsemi") and getattr(module, "enumerate_family", None) is real:
+            monkeypatch.setattr(module, "enumerate_family", counting)
+    for n, ys in ((4, (0,)), (5, (0, 1))):
+        calls.clear()
+        rows = verify._run_context((7, n, ys))
+        assert [status for _, status, _, _ in rows] == ["pass"] * len(verify.CTX_CHECKS), (n, ys)
+        assert calls == collections.Counter(FAMILIES), (n, ys)
 
 
 def test_flag_table_is_indexed_by_images():

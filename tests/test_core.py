@@ -189,7 +189,7 @@ def test_carries_y_is_classify_omegabar_exhaustive():
     "call, text",
     [
         (lambda f: l_related(C31, f, f), "[0 0 2] does not carry Y onto Y in context n=3 Y={0,1}"),
-        (lambda f: j_of_f(C31, [f]), "[0 0 2] does not carry Y onto Y in context n=3 Y={0,1}"),
+        (lambda f: j_of_f(enumerate_family(C31), [f]), "[0 0 2] does not carry Y onto Y in context n=3 Y={0,1}"),
         (lambda f: profile_of(C31, f), "[0 0 2] does not carry Y onto Y; profile undefined"),
     ],
     ids=["l_related", "j_of_f", "profile_of"],

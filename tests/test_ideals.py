@@ -24,43 +24,62 @@ from invsemi.semigroup import GreenOracle, eggbox, enumerate_family
 
 T = parse_transformation
 C31 = Context(3, (0, 1))
+E31 = enumerate_family(C31)
 BOTTOM4 = ["[0 1 0]", "[0 1 1]", "[1 0 0]", "[1 0 1]"]
 
 
 def test_j_of_f_frozen():
-    got = [str(f) for f in j_of_f(C31, [T("[0 1 0]")])]
+    got = [str(f) for f in j_of_f(E31, [T("[0 1 0]")])]
     assert got == BOTTOM4
     # generated by the identity, or by everything: the whole family
-    assert len(j_of_f(C31, [identity(3)])) == 6
-    assert len(j_of_f(C31, enumerate_family(C31).elements)) == 6
+    assert len(j_of_f(E31, [identity(3)])) == 6
+    assert len(j_of_f(E31, E31.elements)) == 6
 
 
 def test_j_of_f_contains_generators():
-    elems = enumerate_family(C31).elements
+    elems = E31.elements
     for f in elems:
-        assert f.images in j_of_f(C31, [f]).as_set()
+        assert f.images in j_of_f(E31, [f]).as_set()
 
 
 def test_j_of_f_rejects_bad_input():
     with pytest.raises(ValueError):
-        j_of_f(C31, [])
+        j_of_f(E31, [])
     with pytest.raises(DomainError):
-        j_of_f(C31, [T("[0 0 2]")])
+        j_of_f(E31, [T("[0 0 2]")])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        eggbox,
+        ideals_all,
+        j_classes,
+        lambda members: j_of_f(members, [identity(3)]),
+        lambda members: j_st(members, 0, 0),  # a threshold that cuts nothing
+        lambda members: is_ideal(members, [identity(3)]),
+    ],
+    ids=["eggbox", "ideals_all", "j_classes", "j_of_f", "j_st", "is_ideal"],
+)
+def test_builders_reject_another_family(build):
+    # the egg-box and the ideals describe omegabar; a tbar enumeration is refused, not read
+    with pytest.raises(ValueError, match="need the omegabar family, got 'tbar'"):
+        build(enumerate_family(C31, "tbar"))
 
 
 def test_is_ideal_checks_by():
     bottom = [T(s) for s in BOTTOM4]
-    assert is_ideal(C31, bottom, by=iter(enumerate_family(C31).elements))
+    assert is_ideal(E31, bottom, by=iter(E31.elements))
     with pytest.raises(DimensionError):
-        is_ideal(C31, bottom, by=[Transformation((0, 1))])
+        is_ideal(E31, bottom, by=[Transformation((0, 1))])
     with pytest.raises(DomainError, match=r"\[0 0 2\] does not carry Y onto Y in context"):
-        is_ideal(C31, bottom, by=[identity(3), T("[0 0 2]")])
+        is_ideal(E31, bottom, by=[identity(3), T("[0 0 2]")])
 
 
 def test_is_ideal_frozen():
-    assert is_ideal(C31, [T(s) for s in BOTTOM4])
-    assert not is_ideal(C31, [identity(3)])
-    assert is_ideal(C31, enumerate_family(C31).elements)
+    assert is_ideal(E31, [T(s) for s in BOTTOM4])
+    assert not is_ideal(E31, [identity(3)])
+    assert is_ideal(E31, E31.elements)
 
 
 def _is_ideal_cubic(ctx, subset):
@@ -80,13 +99,13 @@ def test_is_ideal_agrees_with_cubic_definition_n_le_3():
         for r in range(1, n + 1):
             for ys in itertools.combinations(range(n), r):
                 ctx = Context(n, ys)
-                elems = enumerate_family(ctx).elements
-                gens = GreenOracle(ctx).generators
-                for k in range(1, len(elems) + 1):
-                    for subset in itertools.combinations(elems, k):
+                members = enumerate_family(ctx)
+                gens = GreenOracle(members).generators
+                for k in range(1, len(members) + 1):
+                    for subset in itertools.combinations(members.elements, k):
                         want = _is_ideal_cubic(ctx, subset)
-                        assert is_ideal(ctx, subset) == want, (ctx, subset)
-                        assert is_ideal(ctx, subset, by=gens) == want, (ctx, subset, "by generators")
+                        assert is_ideal(members, subset) == want, (ctx, subset)
+                        assert is_ideal(members, subset, by=gens) == want, (ctx, subset, "by generators")
 
 
 @pytest.mark.parametrize(
@@ -102,29 +121,29 @@ def test_is_ideal_rejects_one_sided_ideal(ys, literals, left_closed):
     ctx = Context(3, ys)
     subset = [T(s) for s in literals]
     inside = {f.images for f in subset}
-    elems = enumerate_family(ctx).elements
-    hf = all(compose(h, f).images in inside for f in subset for h in elems)
-    fh = all(compose(f, h).images in inside for f in subset for h in elems)
+    members = enumerate_family(ctx)
+    hf = all(compose(h, f).images in inside for f in subset for h in members)
+    fh = all(compose(f, h).images in inside for f in subset for h in members)
     assert (hf, fh) == (left_closed, not left_closed)
-    assert not is_ideal(ctx, subset)
+    assert not is_ideal(members, subset)
 
 
 def test_down_set_is_ideal_every_subset_n3():
-    elems = enumerate_family(C31).elements
+    elems = E31.elements
     m = len(elems)
     for mask in range(1, 1 << m):
         subset = [elems[i] for i in range(m) if mask >> i & 1]
-        down = j_of_f(C31, subset)
-        assert is_ideal(C31, down.members)
-        if is_ideal(C31, subset):
+        down = j_of_f(E31, subset)
+        assert is_ideal(E31, down.members)
+        if is_ideal(E31, subset):
             assert down.as_set() == {f.images for f in subset}
 
 
 def test_j_of_f_equals_triple_product_closure():
     # independent oracle: the union of principal ideals, by raw products
-    elems = enumerate_family(C31).elements
+    elems = E31.elements
     for f in elems:
-        down = j_of_f(C31, [f])
+        down = j_of_f(E31, [f])
         raw = {
             compose(h, compose(f, h2)).images
             for h in elems
@@ -134,9 +153,9 @@ def test_j_of_f_equals_triple_product_closure():
 
 
 def test_ideals_all_frozen_counts():
-    assert [len(i) for i in ideals_all(C31)] == [4, 6]
-    assert [len(i) for i in ideals_all(Context(4, (0, 1)))] == [8, 28, 32]
-    assert [len(i) for i in ideals_all(Context(2, (0, 1)))] == [2]
+    assert [len(i) for i in ideals_all(E31)] == [4, 6]
+    assert [len(i) for i in ideals_all(enumerate_family(Context(4, (0, 1))))] == [8, 28, 32]
+    assert [len(i) for i in ideals_all(enumerate_family(Context(2, (0, 1))))] == [2]
 
 
 def test_ideals_are_the_oracle_down_sets_n_le_5():
@@ -145,20 +164,22 @@ def test_ideals_are_the_oracle_down_sets_n_le_5():
     for n in range(1, 6):
         for r in range(1, n + 1):
             for ys in itertools.combinations(range(n), r):
-                ctx = Context(n, ys)
-                found = [ideal.as_set() for ideal in ideals_all(ctx)]
-                down_sets = GreenOracle(ctx).j_down_sets()
+                members = enumerate_family(Context(n, ys))
+                found = [ideal.as_set() for ideal in ideals_all(members)]
+                down_sets = GreenOracle(members).j_down_sets()
                 assert len(found) == len(down_sets) == n - r + 1, ctx
                 assert set(found) == set(down_sets), ctx
                 assert all(a < b for a, b in zip(found, found[1:])), ctx  # smallest first
 
 
-def _out_of_y_chain(ctx):
+def _out_of_y_chain(members):
     # nested, n - |Y| + 1 of them, but not ideals: "at most t points of X\Y map outside Y"
+    ctx = members.ctx
+
     def outside(f):
         return sum(f.images[x] not in ctx.y_frozen for x in range(ctx.n) if x not in ctx.y_frozen)
 
-    elems = enumerate_family(ctx).elements
+    elems = members.elements
     k = len(ctx.y_set)
     return tuple(
         IdealSet(ctx=ctx, members=tuple(f for f in elems if outside(f) <= t)) for t in range(ctx.n - k + 1)
@@ -173,16 +194,16 @@ def test_ideal_check_catches_an_out_of_y_chain(monkeypatch):
 
 
 def test_every_ideal_is_its_own_down_set():
-    for ideal in ideals_all(C31):
-        assert j_of_f(C31, ideal.members).as_set() == ideal.as_set()
-        assert is_ideal(C31, ideal.members)
+    for ideal in ideals_all(E31):
+        assert j_of_f(E31, ideal.members).as_set() == ideal.as_set()
+        assert is_ideal(E31, ideal.members)
 
 
 def test_j_st_frozen():
-    got = [str(f) for f in j_st(C31, 2, 0)]
+    got = [str(f) for f in j_st(E31, 2, 0)]
     assert got == BOTTOM4
-    assert len(j_st(C31, 2, 1)) == 6
-    empty = j_st(C31, 0, 0)
+    assert len(j_st(E31, 2, 1)) == 6
+    empty = j_st(E31, 0, 0)
     assert len(empty) == 0
     assert empty.warning is not None
     # an empty set is not an ideal; the degenerate cut reports that
@@ -191,15 +212,15 @@ def test_j_st_frozen():
 
 def test_j_st_range_check():
     with pytest.raises(ValueError):
-        j_st(C31, 2, 5)
+        j_st(E31, 2, 5)
     with pytest.raises(ValueError):
-        j_st(C31, 2, -1)
+        j_st(E31, 2, -1)
     with pytest.raises(ValueError):
-        j_st(Context(3, (0,)), 1, True)  # a bool is not a threshold
+        j_st(enumerate_family(Context(3, (0,))), 1, True)  # a bool is not a threshold
 
 
 def test_j_st_accepts_omega_threshold():
-    assert len(j_st(C31, OMEGA, 1)) == 6
+    assert len(j_st(E31, OMEGA, 1)) == 6
 
 
 def test_kernel_frozen():
@@ -215,12 +236,13 @@ def test_kernel_is_least_ideal_and_closed_form():
         for r in range(1, n + 1):
             ctx = Context(n, tuple(range(r)))
             bottom = kernel(ctx)
-            found = ideals_all(ctx)
+            members = enumerate_family(ctx)
+            found = ideals_all(members)
             assert bottom.as_set() == found[0].as_set()
             for ideal in found:
                 assert bottom.as_set() <= ideal.as_set()
             want = {
-                f.images for f in enumerate_family(ctx) if f.image() == ctx.y_frozen
+                f.images for f in members if f.image() == ctx.y_frozen
             }
             assert bottom.as_set() == want
 
@@ -228,7 +250,7 @@ def test_kernel_is_least_ideal_and_closed_form():
 def test_kernel_is_bottom_egg_box_class():
     for ys in ((0,), (0, 1)):
         ctx = Context(3, ys)
-        box = eggbox(ctx)
+        box = eggbox(enumerate_family(ctx))
         members = {
             e.images
             for row in box.d_classes[-1].cells
@@ -239,7 +261,7 @@ def test_kernel_is_bottom_egg_box_class():
 
 
 def test_kernel_is_single_j_class():
-    classes = j_classes(C31)
+    classes = j_classes(E31)
     bottom = kernel(C31).as_set()
     assert any({f.images for f in cls} == set(bottom) for cls in classes)
 

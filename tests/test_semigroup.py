@@ -198,8 +198,8 @@ def test_green_related_dispatch():
 def test_characterizations_match_oracle_exhaustive_n3():
     for ys in ((0,), (0, 1), (0, 1, 2)):
         ctx = Context(3, ys)
-        oracle = GreenOracle(ctx)
-        elems = enumerate_family(ctx).elements
+        oracle = GreenOracle(enumerate_family(ctx))
+        elems = oracle.elements
         for f, g in itertools.product(elems, repeat=2):
             for rel in ("L", "R", "H", "D", "J"):
                 assert green_related(ctx, rel, f, g) == oracle.related(rel, f, g)
@@ -309,8 +309,8 @@ def test_d_middle_witness_is_first_oracle_middle():
         for r in range(1, n + 1):
             for ys in itertools.combinations(range(n), r):
                 ctx = Context(n, ys)
-                oracle = GreenOracle(ctx)
-                elems = enumerate_family(ctx).elements
+                oracle = GreenOracle(enumerate_family(ctx))
+                elems = oracle.elements
                 for f, g in itertools.product(elems, repeat=2):
                     assert d_middle_witness(ctx, f, g) == oracle.d_middle(f, g), (ctx, f, g)
 
@@ -326,17 +326,10 @@ def test_witness_membership():
             assert compose(h, compose(g, h2)).images == f.images
 
 
-def test_oracle_budget():
-    with pytest.raises(BudgetError):
-        GreenOracle(Context(6, (0,)), budget=5)
-    with pytest.raises(BudgetError):
-        GreenOracle(Context(7, (0,)))
-
-
 def test_oracle_takes_the_enumeration_budget_n7():
-    # one budget reaches both the enumeration and the oracle built on it
+    # the enumeration's budget is the only cap: the oracle builds on whatever members it is given
     ctx = Context(7, (0, 1, 2, 3, 4))
-    oracle = GreenOracle(ctx, budget=7)
+    oracle = GreenOracle(enumerate_family(ctx, budget=7))
     elems = oracle.elements
     assert len(elems) == math.factorial(5) * 7**2
     rng = random.Random(7)
@@ -348,7 +341,7 @@ def test_oracle_takes_the_enumeration_budget_n7():
 
 def test_characterizations_match_oracle_sampled_n6():
     ctx = Context(6, (0, 1, 2))
-    oracle = GreenOracle(ctx)
+    oracle = GreenOracle(enumerate_family(ctx))
     elems = oracle.elements
     rng = random.Random(6)
     for _ in range(2000):
@@ -433,7 +426,8 @@ def test_cayley_oracle_matches_table_oracle():
         core._set_mutation(mutation)
         try:
             for ctx in [*_all_contexts(4), Context(5, (0, 1))]:
-                oracle, table = GreenOracle(ctx), _TableOracle(ctx)
+                members = enumerate_family(ctx)
+                oracle, table = GreenOracle(members), _TableOracle(ctx)
                 assert oracle.elements == table.elements
                 for f, g in itertools.product(table.elements, repeat=2):
                     for name in methods:
@@ -446,9 +440,9 @@ def test_cayley_oracle_matches_table_oracle():
                 for f, g in ((elems[0], elems[0]), (elems[-1], elems[0]), (elems[len(elems) // 3], elems[-1])):
                     for rel in ("L", "R", "H", "D", "J"):
                         want = getattr(table, f"{rel.lower()}_related")(f, g)
-                        assert GreenOracle(ctx).related(rel, f, g) == want, (mutation, ctx, rel, f, g)
-                    assert GreenOracle(ctx).d_middle(f, g) == table.d_middle(f, g), (mutation, ctx, f, g)
-                gens = GreenOracle(ctx).generators
+                        assert GreenOracle(members).related(rel, f, g) == want, (mutation, ctx, rel, f, g)
+                    assert GreenOracle(members).d_middle(f, g) == table.d_middle(f, g), (mutation, ctx, f, g)
+                gens = GreenOracle(members).generators
                 assert gens == oracle.generators, (mutation, ctx)
                 assert _closure(gens) == {f.images for f in elems}, (mutation, ctx)
         finally:
@@ -492,10 +486,10 @@ def test_product_columns_equal_product_n_le_4():
 def test_oracle_builds_each_side_on_first_need():
     ctx = Context(4, (0,))
     f, g = T("[0 1 1 3]"), T("[0 2 2 1]")
-    oracle = GreenOracle(ctx)
+    oracle = GreenOracle(enumerate_family(ctx))
     assert oracle.l_related(f, g) is False
     assert oracle._left is not None and oracle._right is None
-    oracle = GreenOracle(ctx)
+    oracle = GreenOracle(enumerate_family(ctx))
     assert oracle.r_related(f, g) is True
     assert oracle._right is not None and oracle._left is None
     # components alone for the related-queries; reach only once a below-query asks
@@ -508,8 +502,8 @@ def test_oracle_builds_each_side_on_first_need():
 
 def test_oracle_generators_do_not_depend_on_the_first_side():
     for ctx in _all_contexts(4):
-        e = identity(ctx.n)
-        left_first, right_first = GreenOracle(ctx), GreenOracle(ctx)
+        e, members = identity(ctx.n), enumerate_family(ctx)
+        left_first, right_first = GreenOracle(members), GreenOracle(members)
         left_first.l_related(e, e)
         right_first.r_related(e, e)
         assert left_first.generators == right_first.generators, ctx
@@ -526,13 +520,27 @@ def test_j_down_sets_are_the_table_oracles_n_le_4():
             for grown in {todo.pop() | p for p in principal} - down_sets:
                 down_sets.add(grown)
                 todo.append(grown)
-        got = GreenOracle(ctx).j_down_sets()
+        got = GreenOracle(enumerate_family(ctx)).j_down_sets()
         assert len(got) == len(down_sets) and set(got) == down_sets, ctx
 
 
 def test_oracle_generators_close_to_the_family_n_le_5():
     for ctx in _all_contexts(5):
-        assert _closure(GreenOracle(ctx).generators) == enumerate_family(ctx).as_set(), ctx
+        members = enumerate_family(ctx)
+        assert _closure(GreenOracle(members).generators) == {f.images for f in members}, ctx
+
+
+def test_oracle_reads_any_family_n_le_3():
+    # every family is a monoid: the generators close to it, and below is divisibility by a member
+    for ctx in _all_contexts(3):
+        for family in FAMILIES:
+            members = enumerate_family(ctx, family)
+            oracle = GreenOracle(members)
+            assert _closure(oracle.generators) == {f.images for f in members}, (ctx, family)
+            for f, g in itertools.product(members, repeat=2):
+                left = any(compose(h, g).images == f.images for h in members)
+                right = any(compose(g, h).images == f.images for h in members)
+                assert (oracle.l_below(f, g), oracle.r_below(f, g)) == (left, right), (ctx, family, f, g)
 
 
 def test_oracle_rejects_product_outside_family(monkeypatch):
@@ -546,7 +554,7 @@ def test_oracle_rejects_product_outside_family(monkeypatch):
 
     monkeypatch.setattr(semigroup, "product_columns", constant_columns)
     with pytest.raises(RuntimeError, match="leaves the family"):
-        GreenOracle(Context(3, (1,))).l_below(T("[0 1 2]"), T("[0 1 2]"))
+        GreenOracle(enumerate_family(Context(3, (1,)))).l_below(T("[0 1 2]"), T("[0 1 2]"))
 
 
 def test_product_columns_report_a_product_outside_the_members():
@@ -558,7 +566,7 @@ def test_product_columns_report_a_product_outside_the_members():
 
 
 def test_eggbox_structure_frozen():
-    box = eggbox(C31)
+    box = eggbox(enumerate_family(C31))
     assert len(box.d_classes) == 2
     top, bottom = box.d_classes
     assert (top.deficit, len(top.cells), len(top.cells[0])) == (1, 1, 1)
@@ -569,11 +577,11 @@ def test_eggbox_structure_frozen():
 
 
 def test_eggbox_small_cases():
-    box = eggbox(Context(1, (0,)))
+    box = eggbox(enumerate_family(Context(1, (0,))))
     assert len(box.d_classes) == 1
     assert box.d_classes[0].size == 1
     # Y = X gives the symmetric group: one D-class, one cell
-    box = eggbox(Context(2, (0, 1)))
+    box = eggbox(enumerate_family(Context(2, (0, 1))))
     assert len(box.d_classes) == 1
     assert box.d_classes[0].size == 2
     assert len(box.d_classes[0].cells) == 1
@@ -582,7 +590,7 @@ def test_eggbox_small_cases():
 def test_eggbox_partitions_family():
     for ys in ((0,), (0, 1), (0, 1, 2)):
         ctx = Context(3, ys)
-        box = eggbox(ctx)
+        box = eggbox(enumerate_family(ctx))
         total = sum(grid.size for grid in box.d_classes)
         assert total == len(enumerate_family(ctx))
         deficits = [grid.deficit for grid in box.d_classes]
@@ -596,7 +604,7 @@ def test_r_key_partition_is_oracle_r_classes_n_le_5():
         for r in range(1, n + 1):
             for ys in itertools.combinations(range(n), r):
                 ctx = Context(n, ys)
-                oracle = GreenOracle(ctx)
+                oracle = GreenOracle(enumerate_family(ctx))
                 keys = [_r_key(f) for f in oracle.elements]
                 comps = oracle._graph(1)
                 assert len(set(keys)) == len(set(comps)) == len(set(zip(keys, comps))), ctx
@@ -615,7 +623,7 @@ def test_eggbox_outputs_match_recorded_digests(capsys):
     recorded = json.loads((Path(__file__).parent / "data" / "eggbox_sha256.json").read_text())
     assert len(recorded) == 57 + 21  # 2^n - 1 subsets Y for n = 1..5, then 6 + 15 at n = 6
     for row in recorded:
-        box = eggbox(Context(row["n"], tuple(row["y"])))
+        box = eggbox(enumerate_family(Context(row["n"], tuple(row["y"]))))
         assert main(["eggbox", "--n", str(row["n"]), "--y", ",".join(map(str, row["y"])), "--format", "json"]) == 0
         out = capsys.readouterr().out
         assert out.endswith("}\n")
@@ -634,7 +642,7 @@ def test_idempotent_cells_are_groups():
     # an H-cell holding an idempotent is closed under composition
     for ys in ((0,), (0, 1)):
         ctx = Context(3, ys)
-        for grid in eggbox(ctx).d_classes:
+        for grid in eggbox(enumerate_family(ctx)).d_classes:
             for row in grid.cells:
                 for cell in row:
                     if not cell.has_idempotent:
@@ -647,7 +655,7 @@ def test_idempotent_cells_are_groups():
 def test_idempotent_flags_match_squares():
     # the flag is read off kernel and image; here it is decided by squaring every member
     for ctx in _all_contexts(4):
-        for grid in eggbox(ctx).d_classes:
+        for grid in eggbox(enumerate_family(ctx)).d_classes:
             for row in grid.cells:
                 for cell in row:
                     squares = any(product(e.images, e.images) == e.images for e in cell.elements)
@@ -655,7 +663,7 @@ def test_idempotent_flags_match_squares():
 
 
 def test_eggbox_text_and_dot():
-    box = eggbox(C31)
+    box = eggbox(enumerate_family(C31))
     text = eggbox_text(box)
     assert "D-class 0: image-deficit=1 size=2 grid=1x1" in text
     assert "D-class 1: image-deficit=0 size=4 grid=2x1" in text
