@@ -155,12 +155,9 @@ def j_condition(p: FiberProfile, q: FiberProfile) -> IndexedCover | None:
     assigns every explicit index of q to some bin with blockwise sums within
     capacity.  Rest tails: q's tail needs either p's tail (matched 1-to-1)
     or an explicit infinite bin; p's tail additionally absorbs explicit
-    size-1 entries of q, one per slot.  Equal inputs give equal covers:
-    when the entries left for the bins and the bins are all finite and
-    their totals are equal, the first-fit-decreasing cover is returned if
-    there is one; every other input gets the first cover in index order
-    (entries by index, each tried in the bins by index).  Within the index
-    cap the answer comes in bounded time (see ``_pack``).
+    size-1 entries of q, one per slot.  The cover returned is the first in
+    index order: entries by index, each tried in the bins by index.  Within
+    the index cap the answer comes in bounded time (see ``_pack``).
     """
     k, m = len(p.sizes), len(q.sizes)
     if k > MAX_EXPLICIT_INDICES or m > MAX_EXPLICIT_INDICES:
@@ -195,29 +192,15 @@ def j_condition(p: FiberProfile, q: FiberProfile) -> IndexedCover | None:
 def _pack(entries: list[tuple[int, float]], caps: list[float]) -> dict[int, int] | None:
     """First assignment of entries (index, size) to bins of capacity caps, or None.
 
-    Sizes and capacities are extended naturals: an omega entry fits
-    only an omega bin, and an omega bin takes any load.  When entries and
-    bins are all finite and exactly tight, the first-fit-decreasing
-    assignment is returned if there is one.  Otherwise the answer is the
-    first assignment in index order, the one a depth-first search over the
-    entries by index, trying the bins by index, reaches first.  It is built
-    without backtracking: each entry in turn goes to the first bin that
-    leaves the later entries packable.  With an omega bin they always are
-    (that bin holds them all), so this is plain first fit; otherwise
+    Sizes and capacities are extended naturals: an omega entry fits only
+    an omega bin, and an omega bin takes any load and keeps its infinite
+    room.  The answer is the first assignment in index order, the one a
+    depth-first search over the entries by index, trying the bins by index,
+    reaches first.  It is built without backtracking: each entry in turn
+    goes to the first bin that leaves the later entries packable, as
     ``_packable`` decides.
     """
-    if not entries:
-        return {}
     sizes = [s for _, s in entries]
-    # all finite (an omega entry would make the load infinite) and tight
-    if OMEGA not in caps and sum(sizes) == sum(caps):
-        greedy = _first_fit(sorted(entries, key=lambda e: (-e[1], e[0])), caps)
-        if greedy is not None:
-            return greedy
-    if OMEGA in caps:
-        return _first_fit(entries, caps)
-    if OMEGA in sizes:  # an omega entry fits no finite bin
-        return None
     free = list(caps)
     failed: set[tuple] = set()
     if not _packable(sorted(sizes, reverse=True), free, failed):
@@ -228,7 +211,7 @@ def _pack(entries: list[tuple[int, float]], caps: list[float]) -> dict[int, int]
         # the entries from d on are packable, so some bin passes
         for b, r in enumerate(free):
             if s <= r:
-                free[b] = r - s
+                free[b] = r if r == OMEGA else r - s  # w - w is nan
                 if _packable(later, free, failed):
                     assign[j] = b
                     break
@@ -236,12 +219,13 @@ def _pack(entries: list[tuple[int, float]], caps: list[float]) -> dict[int, int]
     return assign
 
 
-def _packable(sizes: list[int], free: list[int], failed: set[tuple]) -> bool:
+def _packable(sizes: list[float], free: list[float], failed: set[tuple]) -> bool:
     """Whether entries of the given sizes, largest first, fit bins with room ``free``.
 
-    A depth-first search that places the largest entry first.  Three
-    prunings bound its time; each cuts only states from which no packing
-    exists, so the answer is exact:
+    A depth-first search that places the largest entry first.  An omega
+    room ends it at once: that bin takes every entry and keeps its room.
+    Three prunings bound its time; each cuts only states from which no
+    packing exists, so the answer is exact:
 
     1. Room.  The k largest entries fit only in bins with room for the
        smallest of them.  Fail when their load exceeds those bins' room,
@@ -257,7 +241,7 @@ def _packable(sizes: list[int], free: list[int], failed: set[tuple]) -> bool:
        every size left takes nothing and is dropped; a room above the load
        left takes all of it and is lowered to that load.
     """
-    if not sizes:
+    if not sizes or OMEGA in free:
         return True
     for k in range(1, len(sizes) + 1):
         big = sizes[:k]
@@ -282,20 +266,6 @@ def _packable(sizes: list[int], free: list[int], failed: set[tuple]) -> bool:
             tried.add(r)
     failed.add(state)
     return False
-
-
-def _first_fit(entries: list[tuple[int, float]], caps: list[float]) -> dict[int, int] | None:
-    """Each entry in turn into the first bin with room for it, or None."""
-    room = list(caps)
-    assign: dict[int, int] = {}
-    for j, s in entries:
-        b = next((i for i, r in enumerate(room) if s <= r), None)
-        if b is None:
-            return None
-        if room[b] < OMEGA:  # an omega bin's room stays infinite; w - w is nan
-            room[b] -= s
-        assign[j] = b
-    return assign
 
 
 def cover_is_valid(p: FiberProfile, q: FiberProfile, cover: IndexedCover) -> bool:

@@ -918,7 +918,7 @@ def run_verify(cfg: VerifyConfig) -> dict:
     if cfg.max_n < 1:
         raise ValueError(f"max_n must be at least 1, got {cfg.max_n}")
     if cfg.max_n > DEFAULT_ENUM_BUDGET:  # every context past the cap could only report ``resource``
-        raise BudgetError(f"max_n={cfg.max_n} exceeds the oracle budget {DEFAULT_ENUM_BUDGET}")
+        raise BudgetError(f"max_n={cfg.max_n} exceeds the enumeration budget {DEFAULT_ENUM_BUDGET}")
     _apply_env_mutation()
     ctxs = _contexts(cfg)
     shard_args = [(cfg.seed, n, ys) for n, ys in ctxs]

@@ -103,6 +103,21 @@ def test_classify_nonmember_nulls_with_reason(capsys):
     assert "not a member" in doc["reason"]
 
 
+def test_classify_text(capsys):
+    flags = ["tbar=true", "omegabar={0}", "sbar={0}", "fix={0}", "unit=false"]
+    assert main(["classify", "--n", "3", "--y", "0,1", "--f", "[0 1 0]", "--format", "text"]) == 0
+    assert capsys.readouterr().out.splitlines() == [line.format("true") for line in flags] + [
+        "profile=[1 1]",
+        "image_deficit=0",
+        "is_regular=true",
+        "is_unit_regular=true",
+    ]
+    assert main(["classify", "--n", "3", "--y", "0,1", "--f", "[0 0 2]", "--format", "text"]) == 0
+    assert capsys.readouterr().out.splitlines() == [line.format("false") for line in flags] + [
+        "reason=not a member: Y is not carried onto Y",
+    ]
+
+
 def test_classify_parse_error_exits_2():
     assert main(["classify", "--n", "3", "--y", "0,1", "--f", "[0 1 9]"]) == 2
 
@@ -120,6 +135,46 @@ def test_green_witness_lines(capsys):
     out = capsys.readouterr().out.splitlines()
     assert "l_f_below_g=[1 0 1]" in out
     assert "l_g_below_f=[1 0 0]" in out
+
+
+def test_green_witness_r_and_j(capsys):
+    ctx, f, g = Context(3, (0, 1)), parse_transformation("[0 1 0]"), parse_transformation("[0 1 2]")
+    assert main(["green", "--n", "3", "--y", "0,1", "--rel", "R",
+                 "--f", str(f), "--g", str(g), "--witness"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out == ["related=false", "oracle=false", "agree=true", "r_f_below_g=[0 1 0]", "r_g_below_f=None"]
+    h = parse_transformation(out[3].split("=", 1)[1])
+    assert classify(ctx, h).in_omegabar and compose(g, h) == f
+    g = parse_transformation("[1 0 2]")
+    assert main(["green", "--n", "3", "--y", "0,1", "--rel", "J",
+                 "--f", str(f), "--g", str(g), "--witness"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out == [
+        "related=false",
+        "oracle=false",
+        "agree=true",
+        "j_f_below_g=['[1 0 1]', '[0 1 0]']",
+        "j_g_below_f=None",
+    ]
+    h, h2 = map(parse_transformation, ast.literal_eval(out[3].split("=", 1)[1]))
+    assert classify(ctx, h).in_omegabar and classify(ctx, h2).in_omegabar
+    assert compose(compose(h, g), h2) == f
+
+
+def test_green_json(capsys):
+    ctx, f, g = Context(3, (0, 1)), parse_transformation("[0 1 0]"), parse_transformation("[1 0 0]")
+    assert main(["green", "--n", "3", "--y", "0,1", "--rel", "L",
+                 "--f", str(f), "--g", str(g), "--witness", "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert out == (
+        '{\n  "rel": "L",\n  "f": "[0 1 0]",\n  "g": "[1 0 0]",\n  "related": true,\n'
+        '  "oracle": true,\n  "witnesses": {\n    "l_f_below_g": "[1 0 1]",\n'
+        '    "l_g_below_f": "[1 0 0]"\n  }\n}\n'
+    )
+    w = json.loads(out)["witnesses"]
+    h, h2 = parse_transformation(w["l_f_below_g"]), parse_transformation(w["l_g_below_f"])
+    assert classify(ctx, h).in_omegabar and classify(ctx, h2).in_omegabar
+    assert compose(h, g) == f and compose(h2, f) == g
 
 
 def test_green_d_middle_past_enumeration_cap(capsys):
@@ -460,11 +515,11 @@ def test_verify_jobs_below_one_exits_2():
     assert main(["verify", "--max-n", "1", "--jobs", "-3"]) == 2
 
 
-def test_verify_max_n_past_oracle_cap_exits_3(capsys):
+def test_verify_max_n_past_enumeration_cap_exits_3(capsys):
     # refused before any context is listed, so a large value returns at once
     assert main(["verify", "--max-n", "40"]) == 3
-    assert "error: max_n=40 exceeds the oracle budget 6" in capsys.readouterr().err
-    with pytest.raises(BudgetError, match="oracle budget"):
+    assert "error: max_n=40 exceeds the enumeration budget 6" in capsys.readouterr().err
+    with pytest.raises(BudgetError, match="enumeration budget"):
         run_verify(VerifyConfig(max_n=7))
 
 

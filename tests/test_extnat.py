@@ -121,6 +121,9 @@ def test_j_condition_greedy_equal_totals():
     cov = j_condition(P("[2 2]"), P("[2 1 1]"))
     assert cov is not None
     assert cover_is_valid(P("[2 2]"), P("[2 1 1]"), cov)
+    # exactly tight and all finite, yet still the first cover in index order
+    cov = j_condition(P("[2 2]"), P("[1 1 2]"))
+    assert [sorted(b) for b in cov.blocks] == [[0, 1], [2]]
 
 
 def test_j_condition_rest_routing():
@@ -137,6 +140,57 @@ def test_j_condition_rest_routing():
     assert j_condition(P("[1 1]"), P("[1]+rest1")) is None
 
 
+def _cover(blocks, to_rest=(), rest_to_rest=False, rest_to_block=None):
+    return IndexedCover(tuple(map(frozenset, blocks)), frozenset(to_rest), rest_to_rest, rest_to_block)
+
+
+@pytest.mark.parametrize(
+    "p, q, cover",
+    [
+        ("[1 1]", "[1 1]", _cover([[0, 1]])),  # one block for two bins
+        ("[2]", "[1 1]", _cover([[0]])),  # index 1 placed nowhere
+        ("[2]", "[1 1]", _cover([[0]], to_rest=[1])),  # no left rest to hold it
+        ("[2]+rest1", "[2 1]", _cover([[1]], to_rest=[0])),  # a size-2 entry in the rest
+        ("[w]", "[1]+rest1", _cover([[0]], rest_to_rest=True)),  # tail to a missing tail
+        ("[w]+rest1", "[1]+rest1", _cover([[0]])),  # right tail routed nowhere
+        ("[w]", "[1]+rest1", _cover([[0]], rest_to_block=1)),  # tail to a missing bin
+        ("[w]+rest1", "[1]", _cover([[0]], rest_to_block=0)),  # a tail q does not have
+        ("[1]", "[2]", _cover([[0]])),  # block over capacity
+    ],
+)
+def test_cover_is_valid_rejects(p, q, cover):
+    assert not cover_is_valid(P(p), P(q), cover)
+
+
+@pytest.mark.parametrize(
+    "p, q, m",
+    [
+        ("[1]", "[1]+rest1", {0: 0}),  # one index set finite, one not
+        ("[1 1]", "[1 1]", {0: 0}),  # index 1 of p unmatched
+        ("[1 1]", "[1 1]", {0: 0, 1: 0}),  # index 0 of q matched twice
+        ("[2]+rest1", "[2]+rest1", {0: None}),  # a size-2 fiber into the tail of 1s
+        ("[1]", "[1]", {0: 1}),  # no index 1 in q
+        ("[2]", "[1]", {0: 0}),  # sizes differ
+        ("[1]+rest1", "[1 2]+rest1", {0: 0}),  # q's size-2 fiber left over
+    ],
+)
+def test_matching_is_valid_rejects(p, q, m):
+    assert not matching_is_valid(P(p), P(q), m)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"blocks": (frozenset({0}), frozenset({0}))}, "disjoint"),
+        ({"blocks": (frozenset({0}),), "to_rest": frozenset({0})}, "rest part"),
+        ({"blocks": (frozenset(),), "rest_to_rest": True, "rest_to_block": 0}, "two ways"),
+    ],
+)
+def test_indexed_cover_rejects(kwargs, message):
+    with pytest.raises(DomainError, match=message):
+        IndexedCover(**kwargs)
+
+
 def test_j_condition_budget():
     with pytest.raises(BudgetError):
         j_condition(P("[1 1 1 1 1 1 1 1 1]"), P("[1 1 1 1 1 1 1 1 1]"))
@@ -145,8 +199,7 @@ def test_j_condition_budget():
 def _reference_j_condition(p, q):
     """j_condition as a plain search, without pruning, on plain-number arithmetic.
 
-    Exactly tight all-finite inputs try first-fit-decreasing first; then
-    entries are placed by index into bins by index, backtracking over every
+    Entries are placed by index into bins by index, backtracking over every
     choice.  Exponential, so only for small profiles.
     """
     rest_to_rest = False
@@ -162,33 +215,22 @@ def _reference_j_condition(p, q):
     entries = [(j, s) for j, s in enumerate(q.sizes) if j not in to_rest]
     caps = list(p.sizes)
     assign = {}
-    finite = not any(s == OMEGA for _, s in entries) and not any(c == OMEGA for c in caps)
-    if finite and sum(s for _, s in entries) == sum(caps):
-        room = list(caps)
-        for j, s in sorted(entries, key=lambda e: (-e[1], e[0])):
-            b = next((i for i, r in enumerate(room) if s <= r), None)
-            if b is None:
-                assign = {}
-                break
-            room[b] -= s
-            assign[j] = b
-    if len(assign) < len(entries):
-        sums = [0] * len(caps)
+    sums = [0] * len(caps)
 
-        def rec(k):
-            if k == len(entries):
-                return True
-            j, s = entries[k]
-            for b in range(len(caps)):
-                if sums[b] + s <= caps[b]:
-                    keep, sums[b], assign[j] = sums[b], sums[b] + s, b
-                    if rec(k + 1):
-                        return True
-                    sums[b] = keep
-            return False
+    def rec(k):
+        if k == len(entries):
+            return True
+        j, s = entries[k]
+        for b in range(len(caps)):
+            if sums[b] + s <= caps[b]:
+                keep, sums[b], assign[j] = sums[b], sums[b] + s, b
+                if rec(k + 1):
+                    return True
+                sums[b] = keep
+        return False
 
-        if not rec(0):
-            return None
+    if not rec(0):
+        return None
     blocks = tuple(frozenset(j for j, b in assign.items() if b == i) for i in range(len(caps)))
     return IndexedCover(blocks, to_rest, rest_to_rest, rest_to_block)
 
@@ -208,6 +250,22 @@ def test_j_condition_matches_reference_search():
         cov = j_condition(p, q)
         assert cov == _reference_j_condition(p, q), (str(p), str(q))
         assert cov is None or cover_is_valid(p, q, cov)
+
+
+@pytest.mark.parametrize(
+    "p, q, blocks",
+    [
+        # a failed state is met again and refused from the memo
+        ("[6 5 3]", "[5 2 2 4]", [[1, 3], [0], [2]]),
+        # an entry runs out of bins and the search backs up
+        ("[1 9 3 8]", "[2 7 2 8]", [[], [0, 1], [2], [3]]),
+    ],
+)
+def test_j_condition_backtracking_matches_reference(p, q, blocks):
+    p, q = P(p), P(q)
+    assert [sorted(b) for b in j_condition(p, q).blocks] == blocks
+    for a, b in ((p, q), (q, p)):
+        assert j_condition(a, b) == _reference_j_condition(a, b), (str(a), str(b))
 
 
 def _cover_doc(cov):
