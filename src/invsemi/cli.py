@@ -11,12 +11,12 @@ from __future__ import annotations
 import collections
 import functools
 import sys
+from itertools import compress
 from types import SimpleNamespace
 
 from .core import (
     Context,
     classify,
-    _images,
     format_all,
     image_deficit,
     indented_json,
@@ -31,11 +31,12 @@ from .extnat import (
     parse_profile,
     profile_of,
 )
-from .ideals import ideals_all, kernel
+from .ideals import _deficit_cuts, _kernel_images
 from .regularity import is_unit_regular
 from .semigroup import (
     GreenOracle,
     RELATIONS,
+    _family_images,
     eggbox,
     eggbox_dot,
     eggbox_json,
@@ -58,18 +59,18 @@ def _ctx_of(args) -> Context:
 
 def cmd_enum(args) -> int:
     ctx = _ctx_of(args)
-    enum = enumerate_family(ctx, args.family)
+    texts = format_all(_family_images(ctx, args.family))
     if args.format == "json":
         doc = {
             "n": ctx.n,
             "y": list(ctx.y_set),
-            "family": enum.family,
-            "count": len(enum.elements),
-            "elements": format_all(enum.elements),
+            "family": args.family,
+            "count": len(texts),
+            "elements": texts,
         }
         print(indented_json(doc))
     else:
-        lines = [f"count={len(enum.elements)}", *format_all(enum.elements)]
+        lines = [f"count={len(texts)}", *texts]
         sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
@@ -184,27 +185,20 @@ def cmd_eggbox(args) -> int:
     return 0
 
 
-def _ideal_docs(ideals) -> list[dict]:
-    """One document per ideal of the deficit chain, whose t-th ideal has largest deficit t.
+def _ideal_docs(cuts: list[list[str]]) -> list[dict]:
+    """One document per ideal, given as its members' bracket forms, the t-th of largest deficit t; none warns.
 
-    A member shared by several ideals is formatted once; the last ideal of the chain holds them all.
+    ``cmd_ideals`` formats the family's image tuples once and cuts each ideal from that list by
+    the masks of ``_deficit_cuts``, as ``ideals_all`` does; ``cmd_kernel`` formats the kernel's.
     """
-    last = ideals[-1].members
-    text_of = dict(zip(map(_images, last), format_all(last)))
-    return [
-        {
-            "size": len(ideal.members),
-            "t": t,
-            "members": list(map(text_of.__getitem__, map(_images, ideal.members))),
-            "warning": ideal.warning,
-        }
-        for t, ideal in enumerate(ideals)
-    ]
+    return [{"size": len(members), "t": t, "members": members, "warning": None} for t, members in enumerate(cuts)]
 
 
 def cmd_ideals(args) -> int:
     ctx = _ctx_of(args)
-    found = ideals_all(enumerate_family(ctx))
+    images = _family_images(ctx, "omegabar")
+    texts = format_all(images)
+    found = [list(compress(texts, cut)) for cut in _deficit_cuts(ctx, images)]
     doc = {
         "n": ctx.n,
         "y": list(ctx.y_set),
@@ -224,8 +218,7 @@ def cmd_ideals(args) -> int:
 
 def cmd_kernel(args) -> int:
     ctx = _ctx_of(args)
-    bottom = kernel(ctx)
-    doc = {"n": ctx.n, "y": list(ctx.y_set), **_ideal_docs([bottom])[0]}
+    doc = {"n": ctx.n, "y": list(ctx.y_set), **_ideal_docs([format_all(_kernel_images(ctx))])[0]}
     if args.format == "text":
         lines = [f"size={doc['size']} t={doc['t']}", *(f"  {m}" for m in doc["members"])]
         sys.stdout.write("\n".join(lines) + "\n")

@@ -21,15 +21,16 @@ every member of a family by one member at a time, on either side, with
 ``bytes.translate`` over the members held as bytes; the Green oracle builds
 its Cayley graphs from it.  Both honour ``_MUTATION``.  A cached
 ``str.format`` writes one map's bracket form; ``format_all`` writes a whole
-family's at once, as byte columns up to n = 10; and ``indented_json`` writes
-indented JSON without the stdlib's Python encoder.
+family's at once from its image tuples, as byte columns up to n = 10; and
+``indented_json`` writes indented JSON without the stdlib's Python encoder.
 
 Image tuples are validated where maps enter from outside the program: the
 public ``Transformation(...)`` constructor, ``parse_transformation`` and
 ``transformation_from_json``.  Tuples that are valid by construction (the
 product of two maps of one size, or the members that ``enumerate_family`` and
 ``units`` generate from candidates in ``range(n)``) are wrapped by the private
-``_trusted`` (or ``_trusted_all``, for a list) and not checked again.
+``_trusted`` (or ``_trusted_all``, for a list) and not checked again.  The
+members that the CLI's ``enum``, ``ideals`` and ``kernel`` only print stay tuples.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import functools
 import json
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import chain, repeat, starmap
 from operator import attrgetter, itemgetter
 
 from .errors import DimensionError, DomainError
@@ -286,18 +287,18 @@ def format_transformation(f: Transformation) -> str:
 _DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")  # an image v < 10 to its ASCII digit
 
 
-def format_all(fs) -> list[str]:
-    """``format_transformation`` of each map in fs, maps on one n, in one bulk pass up to n = 10.
+def format_all(images) -> list[str]:
+    """The bracket form of each image tuple in a sequence, all of one n, in one bulk pass up to n = 10.
 
     There every form is 2n + 2 bytes with its newline: one template of brackets,
     spaces and newline per map, and each digit column written in by one strided
     slice from all images, taken as one bytes object and translated at once.
     """
-    n = len(fs[0].images) if fs else 0
+    n = len(images[0]) if images else 0
     if n > 10:  # two-digit images: one map at a time
-        return list(map(format_transformation, fs))
-    digits = bytes(chain.from_iterable(map(_images, fs))).translate(_DIGITS)
-    out = bytearray(b"[" + b" " * (2 * n - 1) + b"]\n") * len(fs)
+        return list(starmap(_bracket_format(n), images))
+    digits = bytes(chain.from_iterable(images)).translate(_DIGITS)
+    out = bytearray(b"[" + b" " * (2 * n - 1) + b"]\n") * len(images)
     for i in range(n):
         out[2 * i + 1 :: 2 * n + 2] = digits[i::n]
     return out.decode().splitlines()
@@ -337,21 +338,26 @@ def transformation_from_json(obj: dict | str) -> Transformation:
 
 
 _quote = json.encoder.encode_basestring_ascii  # what json.dumps quotes strings with; in C
+_LITERAL = {None: "null", True: "true", False: "false"}  # looked up only for None and bools, never for 0 or 1
 
 
 def indented_json(doc, pad: str = "") -> str:
     """``json.dumps`` of doc with an indent of 2, byte for byte, each container one join.
 
     Takes str, int, bool, None, lists, tuples and dicts with str keys; any other
-    type raises TypeError.  ``pad`` is the indent of the enclosing line.  An
-    f-string around the join copies the body once, where ``+`` would copy it four times.
+    type raises TypeError.  ``pad`` is the indent of the enclosing line.  A
+    dict's str, bool and None values are written in place, without a call each.
+    An f-string around the join copies the body once, where ``+`` would copy it four times.
     """
     if isinstance(doc, str):
         return _quote(doc)
     inner = pad + "  "
     sep = ",\n" + inner
     if isinstance(doc, dict):
-        items = [f"{k}: {indented_json(v, inner)}" for k, v in zip(map(_quote, doc), doc.values())]
+        items = [
+            f"{k}: {_quote(v) if type(v) is str else _LITERAL[v] if v is None or type(v) is bool else indented_json(v, inner)}"
+            for k, v in zip(map(_quote, doc), doc.values())
+        ]
         return f"{{\n{inner}{sep.join(items)}\n{pad}}}" if items else "{}"
     if isinstance(doc, (list, tuple)):
         try:
@@ -360,7 +366,7 @@ def indented_json(doc, pad: str = "") -> str:
             items = [indented_json(v, inner) for v in doc]
         return f"[\n{inner}{sep.join(items)}\n{pad}]" if items else "[]"
     if doc is None or isinstance(doc, bool):
-        return "null" if doc is None else "true" if doc else "false"
+        return _LITERAL[doc]
     if isinstance(doc, int):
         return int.__repr__(doc)
     raise TypeError(f"Object of type {type(doc).__name__} is not JSON serializable")

@@ -12,6 +12,7 @@ fall outside Y.  Over a finite Y the first threshold is degenerate (every
 fiber of a bijection on Y is a singleton), which j_st reports through a
 warning instead of pretending the cut is interesting.  Every builder but
 ``kernel`` reads the omegabar enumeration it is given and enumerates nothing.
+The cuts are ``_deficit_cuts``' masks, with which the CLI cuts its formatted family.
 """
 
 from __future__ import annotations
@@ -51,16 +52,16 @@ def _checked_subset(ctx: Context, subset) -> tuple[Transformation, ...]:
     return fs
 
 
-def _sized(family: SemigroupEnum) -> tuple[Context, tuple[Transformation, ...], list[int]]:
-    """An omegabar enumeration's context and members, and the size of each member's image."""
-    ctx, members = _omegabar(family)
-    return ctx, members, list(map(len, map(set, map(_images, members))))
+def _deficit_cuts(ctx: Context, images) -> list[bytes]:
+    """The deficit chain as byte masks over members' image tuples: the t-th keeps those of deficit at most t."""
+    sizes = bytes(map(len, map(set, images)))  # one translate per mask: sizes up to b read 1, larger ones 0
+    return [sizes.translate(b"\1" * (b + 1) + bytes(255 - b)) for b in range(len(ctx.y_set), ctx.n + 1)]
 
 
 def _cut(family: SemigroupEnum, t: int) -> tuple[Transformation, ...]:
     """The members of image deficit at most t, in lexicographic order."""
-    ctx, members, sizes = _sized(family)
-    return tuple(compress(members, map((t + len(ctx.y_set)).__ge__, sizes)))
+    ctx, members = _omegabar(family)
+    return tuple(compress(members, _deficit_cuts(ctx, map(_images, members))[t]))
 
 
 def j_of_f(family: SemigroupEnum, subset) -> IdealSet:
@@ -105,7 +106,8 @@ def j_classes(family: SemigroupEnum) -> tuple[tuple[Transformation, ...], ...]:
     Over a finite Y that is equality of image deficits, a member's image size
     less |Y|; classes come in order of their first member.
     """
-    ctx, members, sizes = _sized(family)
+    ctx, members = _omegabar(family)
+    sizes = list(map(len, map(set, map(_images, members))))
     classes = [tuple(compress(members, map(size.__eq__, sizes))) for size in range(len(ctx.y_set), ctx.n + 1)]
     return tuple(sorted(classes, key=lambda c: c[0].images))
 
@@ -113,13 +115,12 @@ def j_classes(family: SemigroupEnum) -> tuple[tuple[Transformation, ...], ...]:
 def ideals_all(family: SemigroupEnum) -> tuple[IdealSet, ...]:
     """Every ideal of an omegabar enumeration: the deficit chain, smallest first.
 
-    One pass for the image sizes; the t-th cut keeps the members whose image
-    size is at most t + |Y|, by mask, so each cut is already in lexicographic
-    order and the cuts share their members.
+    Each ideal is the members cut by its mask from ``_deficit_cuts``, so it is
+    already in lexicographic order and the ideals share their members.
     """
-    ctx, members, sizes = _sized(family)
-    bounds = range(len(ctx.y_set), ctx.n + 1)  # image sizes |Y|..n: deficits 0..n-|Y|
-    return tuple(IdealSet(ctx=ctx, members=tuple(compress(members, map(b.__ge__, sizes)))) for b in bounds)
+    ctx, members = _omegabar(family)
+    cuts = _deficit_cuts(ctx, map(_images, members))
+    return tuple(IdealSet(ctx=ctx, members=tuple(compress(members, cut))) for cut in cuts)
 
 
 def j_st(family: SemigroupEnum, s: int | float, t: int) -> IdealSet:
@@ -149,4 +150,9 @@ def kernel(ctx: Context) -> IdealSet:
     bijective on Y, generated directly.  The verify battery compares this with
     the intersection of all ideals.
     """
-    return IdealSet(ctx=ctx, members=_trusted_all(list(_generate(ctx, "omegabar", [ctx.y_set] * ctx.n))))
+    return IdealSet(ctx=ctx, members=_trusted_all(_kernel_images(ctx)))
+
+
+def _kernel_images(ctx: Context) -> list[tuple[int, ...]]:
+    """The image tuples of the kernel's members, in lexicographic order: every point into Y, bijective on Y."""
+    return list(_generate(ctx, "omegabar", [ctx.y_set] * ctx.n))

@@ -93,10 +93,14 @@ def _generate(ctx: Context, family: str, per_pos: list[tuple[int, ...]], budget:
     return sorted(map(itemgetter(*map([*ys, *rest].index, range(ctx.n))), tuples))
 
 
+def _family_images(ctx: Context, family: str, budget: int = DEFAULT_ENUM_BUDGET) -> list[tuple[int, ...]]:
+    """The image tuples of a family's members, in lexicographic order, with no map built."""
+    return list(_generate(ctx, family, _candidates(ctx, family), budget))
+
+
 def enumerate_family(ctx: Context, family: str = "omegabar", budget: int = DEFAULT_ENUM_BUDGET) -> SemigroupEnum:
     """Enumerate a family in lexicographic order of image tuples; an n past ``budget`` raises BudgetError."""
-    members = _trusted_all(list(_generate(ctx, family, _candidates(ctx, family), budget)))
-    return SemigroupEnum(ctx=ctx, family=family, elements=members)
+    return SemigroupEnum(ctx=ctx, family=family, elements=_trusted_all(_family_images(ctx, family, budget)))
 
 
 def _omegabar(family: SemigroupEnum) -> tuple[Context, tuple[Transformation, ...]]:
@@ -633,7 +637,7 @@ def eggbox_dot(box: EggBox) -> str:
 
 def eggbox_json(box: EggBox) -> dict:
     # every member formatted in one pass, then read back cell by cell in the same order
-    texts = iter(format_all([f for grid in box.d_classes for row in grid.cells for c in row for f in c.elements]))
+    texts = iter(format_all([f.images for grid in box.d_classes for row in grid.cells for c in row for f in c.elements]))
     return {
         "n": box.ctx.n,
         "y": list(box.ctx.y_set),

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from invsemi import Context, classify, cli, compose, parse_transformation, verify
+from invsemi import Context, Transformation, classify, cli, compose, parse_transformation, verify
 from invsemi.cli import build_parser, main
 from invsemi.core import fibers, indented_json
 from invsemi.errors import BudgetError
@@ -269,6 +269,74 @@ def test_json_writer_equals_stdlib_on_family_pin_documents(monkeypatch, capsys):
         assert main(row["argv"]) == 0
         capsys.readouterr()
     assert len(printed) == len(rows) == 4 * (4 + 2)
+
+
+def _every_context(max_n):
+    """Every (n, Y) with n <= max_n, by n, then |Y|, then Y lexicographically, with Y as a CLI argument."""
+    for n in range(1, max_n + 1):
+        for k in range(1, n + 1):
+            for ys in itertools.combinations(range(n), k):
+                yield n, ys, ",".join(map(str, ys))
+
+
+def test_family_cli_outputs_on_every_context_match_recorded_digest(capsys):
+    # one SHA-256 over the stdout of enum (all four families), ideals and kernel, text
+    # and json, on every context with n <= 5, then ideals and kernel on every context
+    # at n = 6; recorded from the code that built a Transformation for each member
+    # and formatted each ideal's members through a lookup by image tuple
+    recorded = json.loads((Path(__file__).parent / "data" / "family_all_contexts_sha256.json").read_text())
+    digest, calls = hashlib.sha256(), 0
+    for n, _, y in _every_context(6):
+        argvs = [["enum", "--n", str(n), "--y", y, "--family", fam] for fam in FAMILIES] if n <= 5 else []
+        argvs += [[cmd, "--n", str(n), "--y", y] for cmd in ("ideals", "kernel")]
+        for argv in argvs:
+            for fmt in ("text", "json"):
+                assert main([*argv, "--format", fmt]) == 0
+                digest.update(capsys.readouterr().out.encode())
+                calls += 1
+    assert calls == recorded["calls"] == 4 * 57 * 2 + 2 * 2 * 57 + 2 * 2 * 63
+    assert digest.hexdigest() == recorded["sha256"]
+
+
+def test_family_commands_build_no_map_per_member(monkeypatch, capsys):
+    # enum, ideals and kernel print from the generated image tuples: with every way of
+    # building a Transformation made to raise, they still print their pinned output
+    def refuse(*args):
+        raise AssertionError("a Transformation was built")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("invsemi"):
+            for attr in ("_trusted", "_trusted_all"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, refuse)
+    monkeypatch.setattr(Transformation, "__post_init__", refuse)
+    for build in (lambda: enumerate_family(Context(3, (0, 1))), lambda: parse_transformation("[0 1 0]")):
+        with pytest.raises(AssertionError, match="a Transformation was built"):
+            build()
+    members = ["[0 1 0]", "[0 1 1]", "[1 0 0]", "[1 0 1]"]
+    everything = ["[0 1 0]", "[0 1 1]", "[0 1 2]", "[1 0 0]", "[1 0 1]", "[1 0 2]"]
+    pinned = {
+        ("enum", "--n", "3", "--y", "0,1"): ["count=6", *everything],
+        ("ideals", "--n", "3", "--y", "0,1", "--format", "text"): [
+            "count=2", "ideal 0: size=4 t=0", *(f"  {m}" for m in members),
+            "ideal 1: size=6 t=1", *(f"  {m}" for m in everything),
+        ],
+        ("kernel", "--n", "3", "--y", "0,1", "--format", "text"): ["size=4 t=0", *(f"  {m}" for m in members)],
+    }
+    for argv, lines in pinned.items():
+        assert main(list(argv)) == 0
+        assert capsys.readouterr().out.splitlines() == lines, argv
+    assert main(["ideals", "--n", "3", "--y", "0,1"]) == 0
+    assert [d["members"] for d in json.loads(capsys.readouterr().out)["ideals"]] == [members, everything]
+
+
+def test_ideals_cli_cuts_the_library_chain_n_le_5(capsys):
+    # the CLI cuts the deficit chain from formatted image tuples; the library cuts it
+    # from the enumerated maps: on every context with n <= 5 they give the same ideals
+    for n, ys, y in _every_context(5):
+        assert main(["ideals", "--n", str(n), "--y", y]) == 0
+        printed = [d["members"] for d in json.loads(capsys.readouterr().out)["ideals"]]
+        assert printed == [[str(f) for f in ideal] for ideal in ideals_all(enumerate_family(Context(n, ys)))], y
 
 
 def test_kernel_json(capsys):

@@ -77,13 +77,13 @@ def test_format_all_matches_format_transformation():
         for ys in {(0,), (n - 1,), tuple(range(0, n, 2))}:
             for family in FAMILIES:
                 fs = enumerate_family(Context(n, ys), family).elements
-                assert core.format_all(fs) == list(map(core.format_transformation, fs)), (n, ys, family)
+                assert core.format_all([f.images for f in fs]) == list(map(core.format_transformation, fs)), (n, ys, family)
     rng = random.Random(22)
     for n in range(7, 13):  # past n = 10 the images take two digits and the fallback runs
         fs = [Transformation(tuple(rng.randrange(n) for _ in range(n))) for _ in range(50)]
         want = list(map(core.format_transformation, fs))
-        assert core.format_all(fs) == want
-        assert core.format_all(tuple(fs)) == want
+        assert core.format_all([f.images for f in fs]) == want
+        assert core.format_all(tuple(f.images for f in fs)) == want
     assert core.format_all([]) == [] and core.format_all(()) == []
 
 
@@ -308,6 +308,10 @@ JSON_CORPUS = [
     "non-ASCII: é ω ∞ 𝔖 \u2028",
     [True, 1, False, 0, None],
     {"t": True, "one": 1, "f": False, "zero": 0, "none": None},
+    # a dict's str, bool and None values are written in place; the rest recurse
+    {"s": "x", "t": True, "f": False, "none": None, "i": 1, "zero": 0, "l": [], "d": {}},
+    {"outer": {"s": "é", "t": True, "none": None, "inner": {"f": False, "empty": "", "l": [], "d": {}, "i": -3}}},
+    [{"elements": ["[0 1]", "[1 0]"], "idempotent": True}, {"elements": [], "idempotent": False, "warning": None}],
     [-1, -(2**70), 2**64, 2**64 + 1, 10**30],
     ["[0 1 2]", "[1 0 2]", 3, ["[2 2 2]"]],
     {"é": "ω", "": "", 'k"ey': {"nested": [1, "two", [3, [4]]]}},
