@@ -27,8 +27,9 @@ family's at once from its image tuples, as byte columns up to n = 10; and
 Image tuples are validated where maps enter from outside the program: the
 public ``Transformation(...)`` constructor, ``parse_transformation`` and
 ``transformation_from_json``.  Tuples that are valid by construction (the
-product of two maps of one size, or the members that ``enumerate_family`` and
-``units`` generate from candidates in ``range(n)``) are wrapped by the private
+product of two maps of one size, ``identity``, a restriction to Y, the members
+that ``enumerate_family`` and ``units`` generate from candidates in
+``range(n)``, and the witnesses built from members) are wrapped by the private
 ``_trusted`` (or ``_trusted_all``, for a list) and not checked again.  The
 members that the CLI's ``enum``, ``ideals`` and ``kernel`` only print stay tuples.
 """
@@ -112,7 +113,7 @@ def _trusted_all(tuples: list[tuple[int, ...]]) -> tuple[Transformation, ...]:
 
 
 def identity(n: int) -> Transformation:
-    return Transformation(tuple(range(n)))
+    return _trusted(tuple(range(n))) if n >= 1 else Transformation(())  # no points: the checking constructor raises
 
 
 @dataclass(frozen=True, slots=True)
@@ -121,8 +122,9 @@ class Context:
 
     n: int
     y_set: tuple[int, ...]
-    # set once, from y_set, in __post_init__
+    # set once, from y_set, in __post_init__; ``y_of`` maps an image tuple to Y's values, always a tuple
     y_frozen: frozenset[int] = field(init=False, repr=False, compare=False)
+    y_of: itemgetter = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
@@ -136,6 +138,7 @@ class Context:
         ys = tuple(sorted(set(given)))
         object.__setattr__(self, "y_set", ys)
         object.__setattr__(self, "y_frozen", frozenset(ys))
+        object.__setattr__(self, "y_of", itemgetter(*ys) if len(ys) > 1 else itemgetter(slice(ys[0], ys[0] + 1)))
 
     def __str__(self) -> str:
         return f"n={self.n} Y={{{','.join(map(str, self.y_set))}}}"
@@ -211,16 +214,19 @@ def compose(f: Transformation, g: Transformation) -> Transformation:
     The product of two valid maps on the same points is valid, so it is not
     validated again.
     """
-    if f.n != g.n:
+    if len(f.images) != len(g.images):
         raise DimensionError(f"cannot compose maps on {f.n} and {g.n} points")
     return _trusted(product(f.images, g.images))
 
 
 def carries_y(ctx: Context, f: Transformation) -> bool:
-    """Whether Yf = Y, the membership test of the Y-onto-Y family."""
+    """Whether Yf = Y, the membership test of the Y-onto-Y family: Y inside Yf, which has at most |Y| points.
+
+    The length is checked before Y's values are read.
+    """
     if len(f.images) != ctx.n:
         raise DimensionError(f"map on {len(f.images)} points in a context with n={ctx.n}")
-    return set(map(f.images.__getitem__, ctx.y_set)) == ctx.y_frozen
+    return ctx.y_frozen.issubset(ctx.y_of(f.images))
 
 
 def classify(ctx: Context, f: Transformation) -> MembershipFlags:
@@ -228,7 +234,7 @@ def classify(ctx: Context, f: Transformation) -> MembershipFlags:
     if len(f.images) != ctx.n:
         raise DimensionError(f"map on {len(f.images)} points in a context with n={ctx.n}")
     ys = ctx.y_set
-    vals = tuple(map(f.images.__getitem__, ys))
+    vals = ctx.y_of(f.images)
     seen = set(vals)
     in_tbar = seen <= ctx.y_frozen
     in_omegabar = seen == ctx.y_frozen
@@ -247,17 +253,13 @@ def restrict_to_y(ctx: Context, f: Transformation) -> Transformation:
     Requires Yf to be contained in Y; otherwise the restriction is not a
     self-map of Y and a DomainError is raised.
     """
-    if f.n != ctx.n:
+    if len(f.images) != ctx.n:
         raise DimensionError(f"map on {f.n} points in a context with n={ctx.n}")
-    ys = ctx.y_set
-    pos = {y: i for i, y in enumerate(ys)}
-    out = []
-    for y in ys:
-        v = f.images[y]
-        if v not in pos:
-            raise DomainError(f"point {y} leaves Y (image {v}); restriction undefined")
-        out.append(pos[v])
-    return Transformation(tuple(out))
+    ys, vals = ctx.y_set, ctx.y_of(f.images)
+    if not ctx.y_frozen.issuperset(vals):
+        y, v = next((y, v) for y, v in zip(ys, vals) if v not in ctx.y_frozen)
+        raise DomainError(f"point {y} leaves Y (image {v}); restriction undefined")
+    return _trusted(tuple(map(ys.index, vals)))
 
 
 def fibers(f: Transformation) -> dict[int, list[int]]:

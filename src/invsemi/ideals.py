@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress
 
-from .core import Context, Transformation, _images, _trusted_all, identity, image_deficit, product
+from .core import Context, Transformation, _images, _trusted_all, identity, product
 from .extnat import as_extnat, n_value, profile_of
 from .semigroup import SemigroupEnum, _generate, _omegabar, _require_member
 
@@ -73,7 +73,7 @@ def j_of_f(family: SemigroupEnum, subset) -> IdealSet:
     """
     ctx = family.ctx
     gens = _checked_subset(ctx, subset)
-    return IdealSet(ctx=ctx, members=_cut(family, max(image_deficit(ctx, g) for g in gens)))
+    return IdealSet(ctx=ctx, members=_cut(family, max(len(g.image()) for g in gens) - len(ctx.y_set)))
 
 
 def is_ideal(family: SemigroupEnum, subset, by=None) -> bool:

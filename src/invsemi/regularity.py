@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Context, Transformation, _trusted, classify, compose, fibers
+from .core import Context, Transformation, _trusted, classify, fibers, product
 from .errors import DomainError
 from .semigroup import _candidates, _generate
 
@@ -81,10 +81,10 @@ def is_unit_regular(ctx: Context, f: Transformation) -> RegularityReport:
     flags = classify(ctx, f)
     if not flags.in_omegabar:
         raise DomainError(f"{f} does not carry Y onto Y in context {ctx}")
-    yset = ctx.y_frozen
+    yset, fi = ctx.y_frozen, f.images
     over = fibers(f)
     pick = {v: next((x for x in xs if x in yset), xs[0]) for v, xs in over.items()}
-    pre = Transformation(tuple(pick.get(v, 0) for v in range(ctx.n)))
+    pre = _trusted(tuple(pick.get(v, 0) for v in range(ctx.n)))
 
     unit = []
     used = set(yset)  # only the points of Y map into Y
@@ -96,13 +96,13 @@ def is_unit_regular(ctx: Context, f: Transformation) -> RegularityReport:
             del unmatched[v]
             z = next(x for x in over[v] if x not in used)
         else:
-            z = next(x for x in range(ctx.n) if x not in used and unmatched.get(f.images[x]) != 1)
+            z = next(x for x in range(ctx.n) if x not in used and unmatched.get(fi[x]) != 1)
         used.add(z)
-        if f.images[z] in unmatched:
-            unmatched[f.images[z]] -= 1
+        if fi[z] in unmatched:
+            unmatched[fi[z]] -= 1
         unit.append(z)
-    u = Transformation(tuple(unit))
-    assert compose(f, compose(u, f)).images == f.images == compose(f, compose(pre, f)).images
+    u = _trusted(tuple(unit))
+    assert product(fi, product(u.images, fi)) == fi == product(fi, product(pre.images, fi))
     return RegularityReport(
         is_regular=flags.in_sbar,
         is_unit_regular=True,

@@ -27,6 +27,8 @@ import os
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, repeat
+from operator import itemgetter, mul
 
 from . import core
 from .core import (
@@ -55,12 +57,13 @@ from .extnat import (
     parse_profile,
     profile_of,
 )
-from .ideals import ideals_all, is_ideal, j_of_f, j_st, kernel
+from .ideals import ideals_all, j_of_f, j_st, kernel
 from .regularity import _pre_inverse_scan, is_regular, is_regular_oracle, is_unit_regular, pre_inverses
 from .semigroup import (
     DEFAULT_ENUM_BUDGET,
     GreenOracle,
     SemigroupEnum,
+    _candidates,
     d_middle_witness,
     enumerate_family,
     eggbox,
@@ -127,6 +130,21 @@ def _definitional_flags(ctx: Context, imgs: tuple[int, ...]) -> tuple[bool, ...]
     return _SHARED_FLAGS[tbar, omega, sbar, fix, unit]
 
 
+def _least_factor(ctx: Context, side: str, f: Transformation, g: Transformation) -> tuple[int, ...] | None:
+    """The lex-least member h with h g = f (side "L") or g h = f ("R"), or None, read point by point.
+
+    x(hg) = xf keeps at position x the z with zg = xf; (xg)h = xf fixes h on Xg.  The product runs in
+    lexicographic order, so its first tuple with distinct values on Y is ``_generate``'s first member.
+    """
+    fi, gi, per_pos = f.images, g.images, _candidates(ctx, "omegabar")
+    if side == "L":
+        per_pos = [tuple(z for z in c if gi[z] == v) for v, c in zip(fi, per_pos)]
+    else:
+        for v, w in zip(gi, fi):
+            per_pos[v] = tuple(z for z in per_pos[v] if z == w)
+    return next((t for t in itertools.product(*per_pos) if len(set(ctx.y_of(t))) == len(ctx.y_set)), None)
+
+
 class _CtxData:
     """Per-context lazy cache: one enumeration per family, and the heavy objects built from it, for a shard's checks.
 
@@ -136,7 +154,7 @@ class _CtxData:
     def __init__(self, ctx: Context):
         self.ctx = ctx
         self._enums: dict[str, SemigroupEnum] = {}
-        self._ideal_verdicts: dict[frozenset[tuple[int, ...]], bool] = {}
+        self._powers = [ctx.n ** (ctx.n - 1 - x) for x in range(ctx.n)]  # a map's place in the flag table
 
     def enum(self, family: str = "omegabar") -> SemigroupEnum:
         if family not in self._enums:
@@ -148,20 +166,23 @@ class _CtxData:
         """``_definitional_flags`` of every map of X, in lexicographic order.
 
         Images (a_0, ..., a_{n-1}) sit at a_0 n^(n-1) + ... + a_{n-1}.  A list costs one
-        pointer per map; a dict keyed by images would keep a tuple per map.
+        pointer per map; a dict keyed by images would keep a tuple per map.  The family flags
+        are decided once per restriction to Y and spread in C passes; the units are permutations.
         """
-        n = self.ctx.n
-        return [_definitional_flags(self.ctx, imgs) for imgs in itertools.product(range(n), repeat=n)]
+        ctx, n = self.ctx, self.ctx.n
+        reps = itertools.product(*[range(n) if x in ctx.y_frozen else (0,) for x in range(n)])  # one per restriction
+        by_y = {ctx.y_of(imgs): _SHARED_FLAGS[(*_definitional_flags(ctx, imgs)[:4], False)] for imgs in reps}
+        table = list(map(by_y.__getitem__, map(ctx.y_of, itertools.product(range(n), repeat=n))))
+        for code in map(sum, map(map, repeat(mul), itertools.permutations(range(n)), repeat(self._powers))):
+            if table[code][_FLAG["omegabar"]]:
+                table[code] = _SHARED_FLAGS[(*table[code][:4], True)]
+        return table
 
     def flags(self, imgs: tuple[int, ...]) -> tuple[bool, ...]:
         """``_definitional_flags`` of a map: from the table up to EXHAUSTIVE_MAPS_LIMIT maps of X."""
-        n = self.ctx.n
-        if n**n > EXHAUSTIVE_MAPS_LIMIT:
+        if self.ctx.n**self.ctx.n > EXHAUSTIVE_MAPS_LIMIT:
             return _definitional_flags(self.ctx, imgs)
-        code = 0
-        for v in imgs:
-            code = code * n + v
-        return self.flag_table[code]
+        return self.flag_table[sum(map(mul, imgs, self._powers))]
 
     @cached_property
     def units(self) -> tuple[Transformation, ...]:
@@ -180,14 +201,10 @@ class _CtxData:
         return eggbox(self.enum())
 
     def ideal_holds(self, members) -> bool:
-        """``is_ideal``, multiplying by the oracle's generators: exact at every n, 2·|I|·|gens| products.
-
-        ``is_ideal`` is pure, so each distinct set of members is decided once per context.
-        """
-        key = frozenset(f.images for f in members)
-        if key not in self._ideal_verdicts:
-            self._ideal_verdicts[key] = is_ideal(self.enum(), members, by=self.oracle.generators)
-        return self._ideal_verdicts[key]
+        """Whether ``members`` form an ideal: by ``is_ideal``'s generating-set argument, iff each member's
+        left and right successors lie among them.  The oracle's Cayley rows hold those products, multiplied."""
+        ids = set(map(self.oracle._index.__getitem__, map(core._images, members)))
+        return all(ids.issuperset(chain.from_iterable(map(self.oracle._succ(s).__getitem__, ids))) for s in (0, 1))
 
 
 def _ex(data: _CtxData, **kv) -> dict:
@@ -201,8 +218,8 @@ def _pair_iter(data: _CtxData, members, rng: random.Random, exhaustive_up_to: in
     elems = members.elements
     if data.ctx.n <= exhaustive_up_to:
         return itertools.product(elems, repeat=arity)
-    m = len(elems)
-    return (tuple(elems[rng.randrange(m)] for _ in range(arity)) for _ in range(count))
+    # choice(s) draws _randbelow(len(s)), as s[randrange(len(s))] does, so the seeded draws are the same
+    return zip(*[iter(list(map(rng.choice, repeat(elems, count * arity))))] * arity)
 
 
 def _member_iter(data: _CtxData, members, rng: random.Random, count: int):
@@ -234,13 +251,14 @@ def _check_count_family(data: _CtxData, rng: random.Random):
         sets[family] = {f.images for f in elems}
         if len(sets[family]) != len(elems):
             return checked, _ex(data, family=family, detail="duplicate elements")
-    # full completeness oracle: filter every map of X by the definitions
+    # full completeness oracle: the distinct members are flagged by the definitions, and no other map of X is
     if n**n <= EXHAUSTIVE_MAPS_LIMIT:
         table = data.flag_table
         checked += len(table)
         for family, members in sets.items():
-            i = _FLAG[family]
-            if {imgs for imgs, fl in zip(itertools.product(range(n), repeat=n), table) if fl[i]} != members:
+            flagged = itemgetter(_FLAG[family])
+            codes = map(sum, map(map, repeat(mul), members, repeat(data._powers)))
+            if not all(map(flagged, map(table.__getitem__, codes))) or sum(map(flagged, table)) != len(members):
                 return checked, _ex(data, family=family, detail="enumeration misses or adds maps")
     # chain of families as sets
     if not (sets["fix"] <= sets["sbar"] <= sets["omegabar"] <= sets["tbar"]):
@@ -326,9 +344,10 @@ def _check_restriction(data: _CtxData, rng: random.Random):
         checked += 1
         if not restrict_to_y(ctx, f).is_bijection():
             return checked, _ex(data, f=f, detail="member restricts to a non-bijection")
+    ident = identity(len(ctx.y_set)).images
     for f in data.enum("fix"):
         checked += 1
-        if restrict_to_y(ctx, f).images != identity(len(ctx.y_set)).images:
+        if restrict_to_y(ctx, f).images != ident:
             return checked, _ex(data, f=f, detail="fixing member does not restrict to identity")
     return checked, None
 
@@ -423,10 +442,10 @@ def _check_d_compositions(data: _CtxData, rng: random.Random):
     return checked, None
 
 
-def _make_witness_check(side: str, build: str, below: str, mul):
-    """witness.L and witness.R: ``build`` gives w with mul(w, g) = f, on image
-    tuples, exactly when the oracle's ``below`` holds, and w is the first
-    member that does.
+def _make_witness_check(side: str, build: str, below: str, times):
+    """witness.L and witness.R: ``build`` gives w with times(w, g) = f, on image
+    tuples, exactly when the oracle's ``below`` holds, and w is the lex-least
+    member that does, as ``_least_factor`` finds it.
 
     ``build`` and ``below`` are names, looked up on each call so that wrappers
     put on this module or on the oracle class see the calls.
@@ -435,19 +454,16 @@ def _make_witness_check(side: str, build: str, below: str, mul):
     def run(data: _CtxData, rng: random.Random):
         ctx = data.ctx
         oracle = data.oracle
-        elems = data.enum()
         checked = 0
-        for f, g in _pair_iter(data, elems, rng, 3, SAMPLE_WITNESS_PAIRS):
+        for f, g in _pair_iter(data, data.enum(), rng, 3, SAMPLE_WITNESS_PAIRS):
             checked += 1
             w = globals()[build](ctx, f, g)
             if (w is None) != (not getattr(oracle, below)(f, g)):
                 return checked, _ex(data, f=f, g=g, detail=f"{side} witness presence vs oracle")
             if w is not None:
-                fi, gi = f.images, g.images
-                if mul(w.images, gi) != fi:
+                if times(w.images, g.images) != f.images:
                     return checked, _ex(data, f=f, g=g, w=w, detail=f"{side} witness recomposition")
-                first = next((h for h in elems if mul(h.images, gi) == fi), None)
-                if first is None or w.images != first.images:
+                if w.images != _least_factor(ctx, side, f, g):
                     return checked, _ex(data, f=f, g=g, w=w, detail=f"{side} witness not lex-least")
         return checked, None
 
@@ -575,15 +591,17 @@ def _check_ideal_thresholds(data: _CtxData, rng: random.Random):
     ctx = data.ctx
     n, k = ctx.n, len(ctx.y_set)
     checked = 0
+    images = [f.images for f in data.enum()]
+    deficits = [image_deficit(ctx, f) for f in data.enum()]  # once per member, for every t
     for t in range(0, n - k + 1):
         cut = j_st(data.enum(), k, t)
-        want = {f.images for f in data.enum() if image_deficit(ctx, f) <= t}
+        want = set(itertools.compress(images, map(t.__ge__, deficits)))
         checked += 1
         if cut.as_set() != want or cut.warning is not None:
             return checked, _ex(data, t=t, detail="deficit threshold set wrong")
     full = j_st(data.enum(), k, n - k)
     checked += 1
-    if full.as_set() != {f.images for f in data.enum()}:
+    if full.as_set() != set(images):
         return checked, _ex(data, detail="full threshold set is not everything")
     if k >= 2:
         empty = j_st(data.enum(), k - 1, n - k)

@@ -750,10 +750,13 @@ def test_run_context_enumerates_each_family_once(monkeypatch):
 
 
 def test_flag_table_is_indexed_by_images():
-    for ctx in (Context(3, (0,)), Context(4, (1, 3))):
-        data = verify._CtxData(ctx)
-        for imgs in itertools.product(range(ctx.n), repeat=ctx.n):
-            assert data.flags(imgs) == verify._definitional_flags(ctx, imgs), imgs
+    # the table spreads the flags of each restriction to Y; here each map's flags are read off the definitions
+    for n in range(1, 5):
+        for ys in itertools.chain.from_iterable(itertools.combinations(range(n), r) for r in range(1, n + 1)):
+            ctx = Context(n, ys)
+            data = verify._CtxData(ctx)
+            for imgs in itertools.product(range(n), repeat=n):
+                assert data.flags(imgs) == verify._definitional_flags(ctx, imgs), (ys, imgs)
 
 
 def test_membership_check_catches_a_wrong_classify(monkeypatch):

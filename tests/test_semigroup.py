@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -15,11 +16,16 @@ from invsemi import (
     DimensionError,
     DomainError,
     Transformation,
+    carries_y,
     classify,
     compose,
     core,
     identity,
+    is_unit_regular,
+    j_below_holds,
     parse_transformation,
+    profile_of,
+    restrict_to_y,
 )
 from invsemi.cli import main
 from invsemi.core import fibers, product, product_columns
@@ -149,13 +155,14 @@ def test_units_frozen():
             assert len(units(ctx)) == math.factorial(k) * math.factorial(n - k)
 
 
+def same_as_validated(maps):
+    assert all(type(f.images) is tuple for f in maps)
+    assert [Transformation(f.images) for f in maps] == maps
+
+
 def test_trusted_construction_matches_validation_n_le_4():
     # enumerate_family, units and compose build their maps without validating
     # them; each must hold a plain tuple that the checking constructor accepts
-    def same_as_validated(maps):
-        assert all(type(f.images) is tuple for f in maps)
-        assert [Transformation(f.images) for f in maps] == maps
-
     for ctx in _all_contexts(4):
         same_as_validated(list(units(ctx)))
         for family in FAMILIES:
@@ -164,6 +171,49 @@ def test_trusted_construction_matches_validation_n_le_4():
             same_as_validated([compose(f, g) for f in elems for g in elems])
     with pytest.raises(DimensionError):
         compose(enumerate_family(Context(4, (0,))).elements[0], units(Context(3, (0,)))[0])
+
+
+def test_witnesses_and_restrictions_built_unchecked_match_validation_n_le_4():
+    # the four witness builders, restrict_to_y, identity and is_unit_regular's
+    # witnesses wrap their maps unchecked as well
+    for ctx in _all_contexts(4):
+        elems = enumerate_family(ctx).elements
+        built = [identity(ctx.n)]
+        for f, g in itertools.product(elems, repeat=2):
+            built += filter(None, (l_below_witness(ctx, f, g), r_below_witness(ctx, f, g), d_middle_witness(ctx, f, g)))
+            built += j_below_witness(ctx, f, g) or ()
+        for f in elems:
+            rep = is_unit_regular(ctx, f)
+            built += [rep.witness_pre_inverse, rep.witness_unit]
+        built += [restrict_to_y(ctx, f) for f in enumerate_family(ctx, "tbar")]
+        same_as_validated(built)
+
+
+def test_each_guard_raises_its_own_error_before_reading_y():
+    # with Y = {1, 3}, a map on 3 points is shorter than max(Y) + 1: Y's values
+    # read before the length check would raise IndexError instead
+    ctx = Context(5, (1, 3))
+    good, outsider = identity(5), T("[0 0 0 0 0]")
+    two_args = [
+        l_related, r_related, h_related, d_related, j_related, j_below_holds,
+        l_below_witness, r_below_witness, j_below_witness, d_middle_witness,
+        *[lambda c, f, g, rel=rel: green_related(c, rel, f, g) for rel in ("L", "R", "H", "D", "J")],
+    ]  # fmt: skip
+    for bad in (T("[0 1 2]"), T("[0]"), T("[0 1 2 3]"), T("[0 1 2 3 4 5]")):
+        wrong_length = f"^{re.escape(f'map on {bad.n} points in a context with n=5')}$"
+        for fn in (carries_y, classify, profile_of):
+            with pytest.raises(DimensionError, match=wrong_length):
+                fn(ctx, bad)
+        for fn, args in itertools.product(two_args, ((bad, good), (good, bad))):
+            with pytest.raises(DimensionError, match=wrong_length):
+                fn(ctx, *args)
+    assert not carries_y(ctx, outsider) and not classify(ctx, outsider).in_omegabar
+    with pytest.raises(DomainError, match=re.escape("[0 0 0 0 0] does not carry Y onto Y; profile undefined")):
+        profile_of(ctx, outsider)
+    outside = f"^{re.escape('[0 0 0 0 0] does not carry Y onto Y in context n=5 Y={1,3}')}$"
+    for fn, args in itertools.product(two_args, ((outsider, good), (good, outsider))):
+        with pytest.raises(DomainError, match=outside):
+            fn(ctx, *args)
 
 
 def test_units_are_the_bijective_members():
