@@ -168,9 +168,9 @@ class MembershipFlags:
 def product(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     """Left-to-right product of image tuples of equal length: x (a b) = b[a[x]].
 
-    Nothing is checked.  This and ``product_columns`` are the two places that
-    honour ``_MUTATION``, so a flipped composition flips every product:
-    searches, ``compose`` and the oracle's Cayley graphs alike.
+    Nothing is checked.  This, ``product_columns`` and verify's ``_least_factor``
+    honour ``_MUTATION``, so a flipped composition flips every product: searches,
+    ``compose``, the oracle's Cayley graphs and verify's lex-least factors alike.
     """
     if _MUTATION == "flip-compose":
         a, b = b, a

@@ -76,27 +76,16 @@ def j_of_f(family: SemigroupEnum, subset) -> IdealSet:
     return IdealSet(ctx=ctx, members=_cut(family, max(len(g.image()) for g in gens) - len(ctx.y_set)))
 
 
-def is_ideal(family: SemigroupEnum, subset, by=None) -> bool:
-    """Definitional check: h f and f h stay inside, for every h in ``by``.
+def is_ideal(family: SemigroupEnum, subset) -> bool:
+    """Definitional check: h f and f h stay inside, for every member h.
 
-    ``by`` defaults to every member.  That is the two-sided definition (h f h2
-    inside for all h, h2) because the family is a monoid: h f h2 = (h f) h2,
-    and h2 = 1 or h = 1 gives back h f and f h.  A generating set of the
-    family is enough for ``by``: every member is a product of generators, so
-    if I a and a I lie inside I for each generator a, so do I h and h I, one
-    factor at a time.  The products are taken on image tuples.  Elements of
-    ``by`` must be members, as those of ``subset`` must.
+    That is the two-sided definition (h f h2 inside for all h, h2) because the
+    family is a monoid: h f h2 = (h f) h2, and h2 = 1 or h = 1 gives back h f
+    and f h.  The products are taken on image tuples.
     """
     ctx, members = _omegabar(family)
     fs = [f.images for f in _checked_subset(ctx, subset)]
-    inside = set(fs)
-    if by is None:
-        by = members
-    else:
-        by = tuple(by)
-        for h in by:
-            _require_member(ctx, h)
-    elems = [h.images for h in by]
+    inside, elems = set(fs), [h.images for h in members]
     return all(product(h, f) in inside and product(f, h) in inside for f in fs for h in elems)
 
 

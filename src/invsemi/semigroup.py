@@ -19,6 +19,7 @@ is allowed to peek at the other.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from operator import itemgetter, ne
@@ -42,7 +43,7 @@ FAMILIES = ("tbar", "omegabar", "sbar", "fix")
 RELATIONS = ("L", "R", "H", "D", "J")
 _ORACLE_RELATED = {rel: f"{rel.lower()}_related" for rel in RELATIONS}  # GreenOracle's method for each relation
 
-DEFAULT_ENUM_BUDGET = 6  # enumerate_family's cap on n unless its budget= says otherwise; the builders read its result
+DEFAULT_ENUM_BUDGET = 46_656  # members _generate may yield unless its budget= says otherwise: 6^6, T̄ at (6, X)
 
 
 @dataclass(frozen=True, slots=True)
@@ -76,11 +77,17 @@ def _generate(ctx: Context, family: str, per_pos: list[tuple[int, ...]], budget:
     Y positions allow, times the product over the other positions, put in
     position order by one itemgetter and sorted unless Y is a prefix of X.
     Otherwise it is the plain product, lazily.  Every candidate is in range(n),
-    so callers wrap the tuples with ``_trusted`` unchecked.
+    so callers wrap the tuples with ``_trusted`` unchecked.  First the tuples are
+    counted, the i-th point of Y taking at most |Y| - i values in a bijective-on-Y
+    family (exact for a whole family or the kernel, an upper bound for a narrowed
+    scan), and a count past ``budget`` raises BudgetError.  No count exceeds n^n.
     """
-    if ctx.n > budget:  # before any work
-        raise BudgetError(f"n={ctx.n} exceeds enumeration budget {budget}")
     ys = ctx.y_set
+    if ctx.n**ctx.n > budget:
+        y_cap = dict(zip(ys, range(len(ys), 0, -1))) if family in ("sbar", "omegabar") else {}
+        count = math.prod(min(len(c), y_cap.get(x, len(c))) for x, c in enumerate(per_pos))
+        if count > budget:
+            raise BudgetError(f"{family} scan over {ctx} yields up to {count:,} members, past the budget {budget:,}")
     if family not in ("sbar", "omegabar") or len(ys) == 1:
         return itertools.product(*per_pos)
     rest = [x for x in range(ctx.n) if x not in ctx.y_frozen]
@@ -100,7 +107,7 @@ def _family_images(ctx: Context, family: str, budget: int = DEFAULT_ENUM_BUDGET)
 
 
 def enumerate_family(ctx: Context, family: str = "omegabar", budget: int = DEFAULT_ENUM_BUDGET) -> SemigroupEnum:
-    """Enumerate a family in lexicographic order of image tuples; an n past ``budget`` raises BudgetError."""
+    """Enumerate a family in lexicographic order of image tuples; more than ``budget`` members raise BudgetError."""
     return SemigroupEnum(ctx=ctx, family=family, elements=_trusted_all(_family_images(ctx, family, budget)))
 
 
@@ -113,6 +120,8 @@ def _omegabar(family: SemigroupEnum) -> tuple[Context, tuple[Transformation, ...
 
 def units(ctx: Context) -> tuple[Transformation, ...]:
     """The invertible members, lexicographic: the permutations of X (already in that order) carrying Y into Y."""
+    if (walk := math.factorial(ctx.n)) > DEFAULT_ENUM_BUDGET:  # before any permutation is walked
+        raise BudgetError(f"units over {ctx}: {walk:,} permutations, past the budget {DEFAULT_ENUM_BUDGET:,}")
     ys, yset = ctx.y_set, ctx.y_frozen
     return _trusted_all([p for p in itertools.permutations(range(ctx.n)) if yset.issuperset(map(p.__getitem__, ys))])
 

@@ -135,9 +135,10 @@ def _least_factor(ctx: Context, side: str, f: Transformation, g: Transformation)
 
     x(hg) = xf keeps at position x the z with zg = xf; (xg)h = xf fixes h on Xg.  The product runs in
     lexicographic order, so its first tuple with distinct values on Y is ``_generate``'s first member.
+    Under ``flip-compose`` each side solves the other's equation, as ``product`` swaps its factors.
     """
     fi, gi, per_pos = f.images, g.images, _candidates(ctx, "omegabar")
-    if side == "L":
+    if (side == "L") != (core._MUTATION == "flip-compose"):
         per_pos = [tuple(z for z in c if gi[z] == v) for v, c in zip(fi, per_pos)]
     else:
         for v, w in zip(gi, fi):
@@ -201,8 +202,9 @@ class _CtxData:
         return eggbox(self.enum())
 
     def ideal_holds(self, members) -> bool:
-        """Whether ``members`` form an ideal: by ``is_ideal``'s generating-set argument, iff each member's
-        left and right successors lie among them.  The oracle's Cayley rows hold those products, multiplied."""
+        """Whether ``members`` form an ideal, by ``is_ideal``'s test with the oracle's generators for the members h.
+        That is enough: every member is a product of generators, so if I a and a I lie inside I for each generator
+        a, so do I h and h I, one factor at a time.  The Cayley rows hold those products, multiplied."""
         ids = set(map(self.oracle._index.__getitem__, map(core._images, members)))
         return all(ids.issuperset(chain.from_iterable(map(self.oracle._succ(s).__getitem__, ids))) for s in (0, 1))
 
@@ -935,8 +937,9 @@ def run_verify(cfg: VerifyConfig) -> dict:
     """Run every check and return the report as plain data."""
     if cfg.max_n < 1:
         raise ValueError(f"max_n must be at least 1, got {cfg.max_n}")
-    if cfg.max_n > DEFAULT_ENUM_BUDGET:  # every context past the cap could only report ``resource``
-        raise BudgetError(f"max_n={cfg.max_n} exceeds the enumeration budget {DEFAULT_ENUM_BUDGET}")
+    if cfg.max_n > DEFAULT_ENUM_BUDGET or cfg.max_n**cfg.max_n > DEFAULT_ENUM_BUDGET:  # the first test bounds the power
+        raise BudgetError(f"max_n={cfg.max_n} exceeds the enumeration budget {DEFAULT_ENUM_BUDGET:,}: "
+                          f"tbar over n={cfg.max_n} Y=X has {cfg.max_n}^{cfg.max_n} members")
     _apply_env_mutation()
     ctxs = _contexts(cfg)
     shard_args = [(cfg.seed, n, ys) for n, ys in ctxs]

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from invsemi import Context, Transformation, classify, cli, compose, parse_transformation, verify
+from invsemi import Context, Transformation, classify, cli, compose, parse_transformation, semigroup, verify
 from invsemi.cli import build_parser, main
 from invsemi.core import fibers, indented_json
 from invsemi.errors import BudgetError
@@ -48,10 +48,35 @@ def test_enum_bad_y_exits_2():
     assert main(["enum", "--n", "3", "--y", "3", "--family", "omegabar"]) == 2
 
 
-@pytest.mark.parametrize("cmd", ["enum", "eggbox", "ideals", "kernel"])
-def test_family_commands_past_budget_exit_3(cmd, capsys):
-    assert main([cmd, "--n", "7", "--y", "0"]) == 3
-    assert "budget" in capsys.readouterr().err
+@pytest.mark.parametrize(
+    "cmd, n, y, size",
+    [("enum", 7, "0", "117,649"), ("eggbox", 7, "0", "117,649"), ("ideals", 7, "0", "117,649"),
+     ("kernel", 9, "0,1,2,3,4", "75,000")],  # the kernel at (9,{0..4}): 5! 5^4 members
+    ids=["enum", "eggbox", "ideals", "kernel"],
+)
+def test_family_commands_past_budget_exit_3(cmd, n, y, size, monkeypatch, capsys):
+    # the members are counted first: past the cap the generator's product is never entered
+    def entered(*args):
+        raise AssertionError("a tuple was built past the cap")
+
+    monkeypatch.setattr(semigroup.itertools, "product", entered)
+    assert main([cmd, "--n", str(n), "--y", y]) == 3
+    err = capsys.readouterr().err
+    assert f"omegabar scan over n={n} Y={{{y}}} yields up to {size} members, past the budget 46,656" in err
+
+
+def test_kernel_of_a_point_answers_at_n12(capsys):
+    # one member at every n: the cap counts members, not points
+    assert main(["kernel", "--n", "12", "--y", "0", "--format", "text"]) == 0
+    assert capsys.readouterr().out == "size=1 t=0\n  [0 0 0 0 0 0 0 0 0 0 0 0]\n"
+
+
+def test_enum_lists_the_permutations_at_n7(capsys):
+    # Y = X: omegabar is the 7! = 5,040 permutations, within the cap though 7^7 maps are not
+    assert main(["enum", "--n", "7", "--y", "0,1,2,3,4,5,6"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "count=5040"
+    assert out[1:] == ["[" + " ".join(map(str, p)) + "]" for p in itertools.permutations(range(7))]
 
 
 def test_classify_member(capsys):
@@ -586,7 +611,9 @@ def test_verify_jobs_below_one_exits_2():
 def test_verify_max_n_past_enumeration_cap_exits_3(capsys):
     # refused before any context is listed, so a large value returns at once
     assert main(["verify", "--max-n", "40"]) == 3
-    assert "error: max_n=40 exceeds the enumeration budget 6" in capsys.readouterr().err
+    assert "error: max_n=40 exceeds the enumeration budget 46,656: tbar over n=40 Y=X has 40^40 members" in (
+        capsys.readouterr().err
+    )
     with pytest.raises(BudgetError, match="enumeration budget"):
         run_verify(VerifyConfig(max_n=7))
 

@@ -7,10 +7,8 @@ import pytest
 
 from invsemi import (
     Context,
-    DimensionError,
     DomainError,
     OMEGA,
-    Transformation,
     compose,
     identity,
     n_value,
@@ -67,15 +65,6 @@ def test_builders_reject_another_family(build):
         build(enumerate_family(C31, "tbar"))
 
 
-def test_is_ideal_checks_by():
-    bottom = [T(s) for s in BOTTOM4]
-    assert is_ideal(E31, bottom, by=iter(E31.elements))
-    with pytest.raises(DimensionError):
-        is_ideal(E31, bottom, by=[Transformation((0, 1))])
-    with pytest.raises(DomainError, match=r"\[0 0 2\] does not carry Y onto Y in context"):
-        is_ideal(E31, bottom, by=[identity(3), T("[0 0 2]")])
-
-
 def test_is_ideal_frozen():
     assert is_ideal(E31, [T(s) for s in BOTTOM4])
     assert not is_ideal(E31, [identity(3)])
@@ -100,12 +89,10 @@ def test_is_ideal_agrees_with_cubic_definition_n_le_3():
             for ys in itertools.combinations(range(n), r):
                 ctx = Context(n, ys)
                 members = enumerate_family(ctx)
-                gens = GreenOracle(members).generators
                 for k in range(1, len(members) + 1):
                     for subset in itertools.combinations(members.elements, k):
                         want = _is_ideal_cubic(ctx, subset)
                         assert is_ideal(members, subset) == want, (ctx, subset)
-                        assert is_ideal(members, subset, by=gens) == want, (ctx, subset, "by generators")
 
 
 @pytest.mark.parametrize(

@@ -97,10 +97,29 @@ def test_enum_lex_order_and_closure():
 
 
 def test_enum_budget():
+    # the budget counts members: (7,{0}) has 7^6 = 117,649, past the default 6^6
+    with pytest.raises(BudgetError, match=r"omegabar scan over n=7 Y=\{0\} yields up to 117,649 members, past the budget 46,656"):
+        enumerate_family(Context(7, (0,)))
     with pytest.raises(BudgetError):
-        enumerate_family(Context(7, (0,)), budget=6)
+        enumerate_family(Context(7, (0,)), budget=7**6 - 1)
     # explicit budget overrides
-    assert len(enumerate_family(Context(7, (0,)), budget=7)) == 7**6
+    assert len(enumerate_family(Context(7, (0,)), budget=7**6)) == 7**6
+
+
+def test_budget_is_the_member_count():
+    # the count is exact: a budget of the family's size enumerates it, one less refuses
+    cases = [(ctx, family) for ctx in _all_contexts(5) for family in FAMILIES]
+    cases += [(Context(6, tuple(range(6))), "tbar"), (Context(6, (0,)), "omegabar")]
+    for ctx, family in cases:
+        size = len(enumerate_family(ctx, family))
+        assert len(enumerate_family(ctx, family, budget=size)) == size, (ctx, family)
+        with pytest.raises(BudgetError):
+            enumerate_family(ctx, family, budget=size - 1)
+    for ctx in _all_contexts(5):  # the kernel: every position into Y
+        size = len(kernel(ctx))
+        assert len(list(_generate(ctx, "omegabar", [ctx.y_set] * ctx.n, budget=size))) == size, ctx
+        with pytest.raises(BudgetError):
+            _generate(ctx, "omegabar", [ctx.y_set] * ctx.n, budget=size - 1)
 
 
 def test_enum_bad_family():
@@ -214,6 +233,18 @@ def test_each_guard_raises_its_own_error_before_reading_y():
     for fn, args in itertools.product(two_args, ((outsider, good), (good, outsider))):
         with pytest.raises(DomainError, match=outside):
             fn(ctx, *args)
+
+
+def test_units_past_the_cap_refuse_before_the_walk(monkeypatch):
+    # 8! = 40,320 permutations fit the cap of 46,656; 9! = 362,880 do not
+    assert len(units(Context(8, (0, 1)))) == math.factorial(2) * math.factorial(6)
+
+    def entered(*args):
+        raise AssertionError("a permutation was walked past the cap")
+
+    monkeypatch.setattr(itertools, "permutations", entered)
+    with pytest.raises(BudgetError, match=r"units over n=9 Y=\{0\}: 362,880 permutations, past the budget 46,656"):
+        units(Context(9, (0,)))
 
 
 def test_units_are_the_bijective_members():
@@ -377,9 +408,9 @@ def test_witness_membership():
 
 
 def test_oracle_takes_the_enumeration_budget_n7():
-    # the enumeration's budget is the only cap: the oracle builds on whatever members it is given
+    # the enumeration's member count is the only cap: (7,{0..4}) has 5! 7^2 = 5,880 members, within it
     ctx = Context(7, (0, 1, 2, 3, 4))
-    oracle = GreenOracle(enumerate_family(ctx, budget=7))
+    oracle = GreenOracle(enumerate_family(ctx))
     elems = oracle.elements
     assert len(elems) == math.factorial(5) * 7**2
     rng = random.Random(7)

@@ -3,7 +3,7 @@
 import itertools
 import random
 
-from invsemi import Context, verify
+from invsemi import Context, core, verify
 from invsemi.core import product
 from invsemi.ideals import ideals_all, is_ideal
 from invsemi.semigroup import enumerate_family
@@ -56,3 +56,18 @@ def test_narrowed_searches_give_the_scanned_witness_and_draws_are_the_randrange_
         got = list(verify._pair_iter(data, data.enum(), rng, 3, 25, arity))
         assert got == [tuple(elems[ref.randrange(len(elems))] for _ in range(arity)) for _ in range(25)], (seed, arity)
         assert rng.random() == ref.random()  # and leave the generator in the same state
+
+
+def test_least_factor_solves_the_flipped_product_under_the_mutation():
+    # under flip-compose, product(h, g) is g then h: each side solves the other's equation
+    core._set_mutation("flip-compose")
+    try:
+        for ctx in _contexts(3):
+            elems = enumerate_family(ctx).elements
+            for f, g in itertools.product(elems, repeat=2):
+                left = next((h.images for h in elems if product(h.images, g.images) == f.images), None)
+                right = next((h.images for h in elems if product(g.images, h.images) == f.images), None)
+                assert verify._least_factor(ctx, "L", f, g) == left, (str(ctx), str(f), str(g))
+                assert verify._least_factor(ctx, "R", f, g) == right, (str(ctx), str(f), str(g))
+    finally:
+        core._set_mutation(None)
