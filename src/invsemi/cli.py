@@ -269,18 +269,12 @@ def cmd_profile(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = VerifyConfig(
-        max_n=args.max_n,
-        sample_n5=args.sample_n5,
-        seed=args.seed,
-        jobs=args.jobs,
-        report_path=args.out,
-    )
-    report = run_verify(cfg)
-    if args.format == "text":
-        sys.stdout.write(render_report_text(report))
-    else:
-        sys.stdout.write(render_report_json(report))
+    report = run_verify(VerifyConfig(max_n=args.max_n, sample_n5=args.sample_n5, seed=args.seed, jobs=args.jobs))
+    text = render_report_json(report)
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(text)
+    sys.stdout.write(render_report_text(report) if args.format == "text" else text)
     return exit_code_for(report)
 
 

@@ -219,8 +219,8 @@ def r_below_witness(ctx: Context, f: Transformation, g: Transformation) -> Trans
     if any(map(ne, f.images, map(f.images.__getitem__, _r_key(g)))):
         return None
     imgs = [0] * ctx.n  # points outside Xg are free; 0 is the least choice
-    for v, block in fibers(g).items():
-        imgs[v] = f.images[block[0]]
+    for v, w in zip(g.images, f.images):  # f is constant on each g-fiber
+        imgs[v] = w
     h = _trusted(tuple(imgs))
     assert product(g.images, h.images) == f.images, "witness failed recomposition"
     assert carries_y(ctx, h)

@@ -91,7 +91,6 @@ class VerifyConfig:
     sample_n5: bool = False
     seed: int = 0
     jobs: int = 1
-    report_path: str | None = None
 
 
 def _apply_env_mutation() -> None:
@@ -723,6 +722,15 @@ CTX_CHECKS: list[tuple[str, object]] = [
 # --- global checks -----------------------------------------------------------
 
 
+def _raises(exc: type[Exception], fn, *args) -> bool:
+    """Whether ``fn(*args)`` raises ``exc``; any other exception propagates to ``_run_check``."""
+    try:
+        fn(*args)
+    except exc:
+        return True
+    return False
+
+
 def _check_extnat_arith(rng: random.Random):
     """The laws the profile calculus relies on, for its number model: ints with OMEGA = math.inf.
 
@@ -764,11 +772,8 @@ def _check_parse_roundtrip(rng: random.Random):
             return checked, {"detail": f"json round-trip failed on {text}"}
     for bad in ["", "[]", "[a b]", "1 0 0", "[3 0 0]"]:
         checked += 1
-        try:
-            parse_transformation(bad)
-        except ValueError:
-            continue
-        return checked, {"detail": f"bad literal {bad!r} accepted"}
+        if not _raises(ValueError, parse_transformation, bad):
+            return checked, {"detail": f"bad literal {bad!r} accepted"}
     for text in ["[1 1]", "[w]", "[w 1 1]", "[w w]+rest1", "[]+rest1", "[2 1]+rest1"]:
         p = parse_profile(text)
         checked += 1
@@ -776,46 +781,31 @@ def _check_parse_roundtrip(rng: random.Random):
             return checked, {"detail": f"profile round-trip failed on {text}"}
     for bad in ["", "w 1", "[x]", "[0 1]", "[1]+rest2"]:
         checked += 1
-        try:
-            parse_profile(bad)
-        except ValueError:
-            continue
-        return checked, {"detail": f"bad profile {bad!r} accepted"}
+        if not _raises(ValueError, parse_profile, bad):
+            return checked, {"detail": f"bad profile {bad!r} accepted"}
     return checked, None
 
 
 def _check_profile_d_fixed(rng: random.Random):
-    checked = 0
-    pw = parse_profile
-    m = d_condition(pw("[2 1 1]"), pw("[1 2 1]"))
-    checked += 1
-    if m != {0: 1, 1: 0, 2: 2} or not matching_is_valid(pw("[2 1 1]"), pw("[1 2 1]"), m):
-        return checked, {"detail": "finite permutation matching wrong"}
-    checked += 1
-    if d_condition(pw("[w 1 1]"), pw("[w w 1]")) is not None:
-        return checked, {"detail": "distinct multisets matched"}
-    checked += 1
-    if d_condition(pw("[w]+rest1"), pw("[w w]+rest1")) is not None:
-        return checked, {"detail": "one and two infinite fibers matched"}
-    m = d_condition(pw("[w 1]+rest1"), pw("[w]+rest1"))
-    checked += 1
-    if m != {0: 0, 1: None} or not matching_is_valid(pw("[w 1]+rest1"), pw("[w]+rest1"), m):
-        return checked, {"detail": "rest absorption matching wrong"}
-    checked += 1
-    try:
-        d_condition(pw("[1 1]"), pw("[1 1 1]"))
-    except DimensionError:
-        pass
-    else:
-        return checked, {"detail": "length mismatch not rejected"}
-    checked += 1
-    try:
-        d_condition(pw("[1 1]"), pw("[1 1]+rest1"))
-    except DimensionError:
-        pass
-    else:
-        return checked, {"detail": "cardinality mismatch not rejected"}
-    return checked, None
+    """Each case is (p, q, the matching d_condition must return and validate, or the error it must raise, detail)."""
+    cases = [
+        ("[2 1 1]", "[1 2 1]", {0: 1, 1: 0, 2: 2}, "finite permutation matching wrong"),
+        ("[w 1 1]", "[w w 1]", None, "distinct multisets matched"),
+        ("[w]+rest1", "[w w]+rest1", None, "one and two infinite fibers matched"),
+        ("[w 1]+rest1", "[w]+rest1", {0: 0, 1: None}, "rest absorption matching wrong"),
+        ("[1 1]", "[1 1 1]", DimensionError, "length mismatch not rejected"),
+        ("[1 1]", "[1 1]+rest1", DimensionError, "cardinality mismatch not rejected"),
+    ]
+    for checked, (a, b, want, detail) in enumerate(cases, 1):
+        p, q = parse_profile(a), parse_profile(b)
+        if want is DimensionError:
+            ok = _raises(DimensionError, d_condition, p, q)
+        else:
+            m = d_condition(p, q)
+            ok = m == want and (m is None or matching_is_valid(p, q, m))
+        if not ok:
+            return checked, {"detail": detail}
+    return len(cases), None
 
 
 def _check_profile_j_fixed(rng: random.Random):
@@ -850,11 +840,8 @@ def _check_profile_j_fixed(rng: random.Random):
         if j_condition(pw(a), pw(b)) is not None:
             return checked, {"detail": f"packing {b} into {a} should fail"}
     checked += 1
-    try:
-        j_condition(pw("[1 1 1 1 1 1 1 1 1]"), pw("[1]"))
+    if not _raises(BudgetError, j_condition, pw("[1 1 1 1 1 1 1 1 1]"), pw("[1]")):
         return checked, {"detail": "budget not enforced"}
-    except BudgetError:
-        pass
     return checked, None
 
 
@@ -982,9 +969,6 @@ def run_verify(cfg: VerifyConfig) -> dict:
         "results": results,
         "summary": summary,
     }
-    if cfg.report_path:
-        with open(cfg.report_path, "w") as fh:
-            fh.write(render_report_json(report))
     return report
 
 

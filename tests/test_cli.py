@@ -806,9 +806,16 @@ def test_membership_check_catches_a_wrong_classify(monkeypatch):
 
 
 def test_verify_report_file(tmp_path):
-    out = tmp_path / "report.json"
-    r = run_cli("verify", "--max-n", "2", "--seed", "7", "--out", str(out))
+    out, out_text = tmp_path / "report.json", tmp_path / "report-text.json"
+    r = run_cli("verify", "--max-n", "2", "--seed", "7", "--format", "json", "--out", str(out))
     assert r.returncode == 0
     doc = json.loads(out.read_text())
     assert doc["schema"] == 1
     assert doc["summary"]["fail"] == 0
+    # the file is the JSON stdout, byte for byte, whatever --format prints
+    assert out.read_bytes() == r.stdout.encode()
+    assert run_cli("verify", "--max-n", "2", "--seed", "7", "--format", "text", "--out", str(out_text)).returncode == 0
+    assert out_text.read_bytes() == out.read_bytes()
+    # the CLI writes the file; the library's run_verify only returns the report
+    with pytest.raises(TypeError):
+        VerifyConfig(report_path=str(out))

@@ -1,9 +1,13 @@
-"""The verify battery's definitional shortcuts against the computations they replace."""
+"""The verify battery's definitional shortcuts against the computations they replace,
+and its fixed corpora against planted defects."""
 
 import itertools
 import random
 
-from invsemi import Context, core, verify
+import pytest
+
+from invsemi import Context, core, extnat, verify
+from invsemi.errors import BudgetError
 from invsemi.core import product
 from invsemi.ideals import ideals_all, is_ideal
 from invsemi.semigroup import enumerate_family
@@ -71,3 +75,35 @@ def test_least_factor_solves_the_flipped_product_under_the_mutation():
                 assert verify._least_factor(ctx, "R", f, g) == right, (str(ctx), str(f), str(g))
     finally:
         core._set_mutation(None)
+
+
+def _length_blind_d_condition(p, q):
+    if not (p.rest_ones or q.rest_ones) and len(p.sizes) != len(q.sizes):
+        return None
+    return extnat.d_condition(p, q)
+
+
+def _unbudgeted_j_condition(p, q):
+    try:
+        return extnat.j_condition(p, q)
+    except BudgetError:
+        return None
+
+
+# one defect in a name a fixed corpus calls, and the (checked, detail) its global check reports
+@pytest.mark.parametrize("label, name, defect, checked, detail", [
+    ("parse.roundtrip", "parse_profile", lambda text: extnat.parse_profile("[1]" if text == "[x]" else text),
+     18, "bad profile '[x]' accepted"),
+    ("profile.d_fixed", "d_condition", lambda p, q: {i: i for i in range(len(p.sizes))},
+     1, "finite permutation matching wrong"),
+    ("profile.d_fixed", "d_condition", _length_blind_d_condition,
+     5, "length mismatch not rejected"),
+    ("profile.j_fixed", "j_condition", _unbudgeted_j_condition, 15, "budget not enforced"),
+    ("profile.separation", "n_value", lambda p, ambient: extnat.n_value(p, ambient) + 1,
+     4, "two small fibers expected"),
+], ids=["parse_profile", "d_condition-matching", "d_condition-length", "j_condition", "n_value"])
+def test_fixed_corpora_catch_a_defect(monkeypatch, label, name, defect, checked, detail):
+    check = dict(verify.GLOBAL_CHECKS)[label]
+    assert check(random.Random(0))[1] is None
+    monkeypatch.setattr(verify, name, defect)
+    assert check(random.Random(0)) == (checked, {"detail": detail})
